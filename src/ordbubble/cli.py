@@ -48,7 +48,10 @@ def parse_input(path: str, format: str = "auto"):
     Formats: relation_json, matrix, bubble_json, or auto (sniff JSON shape,
     fall back to the matrix format).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("input is not valid UTF-8", f"byte {exc.start}") from None
     if format == "matrix":
         return relation_from_matrix_text(text)
     if format in ("relation_json", "bubble_json"):
@@ -80,10 +83,6 @@ def _digest(path: str | None, options: dict) -> str:
         hasher.update(Path(path).read_bytes())
     hasher.update(json.dumps(options, sort_keys=True).encode("utf-8"))
     return hasher.hexdigest()
-
-
-def _relation_payload(relation: Relation) -> dict:
-    return relation.to_json_dict()
 
 
 def _property_payload(relation: Relation) -> dict:
@@ -146,7 +145,7 @@ def _run_decompose(relation: Relation):
 def _run_bubble(system: BubbleSystem):
     relation = bubble_compose(system)
     again = bubble_decompose(relation)
-    payload = {"relation": _relation_payload(relation)}
+    payload = {"relation": relation.to_json_dict()}
     inv = [("system-round-trip", again.same_shape(system))]
     return payload, inv
 
@@ -156,7 +155,7 @@ def _run_extend(relation: Relation):
     extended = order.relation()
     payload = {
         "order": list(order.sorted_labels()),
-        "relation": _relation_payload(extended),
+        "relation": extended.to_json_dict(),
     }
     report = check_properties(extended)
     inv = [

@@ -13,7 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from types import MappingProxyType
+from typing import ClassVar, Mapping
 
 from .errors import (
     AlreadyComparable,
@@ -23,9 +24,6 @@ from .errors import (
 )
 from .relations import Relation, check_properties, derived_parts, transpose_rows
 from .structure import Loset, bubble_decompose
-
-Rational = Fraction
-
 
 def fusc(k: int) -> int:
     """Stern's diatomic sequence, the numerator stream of the Calkin-Wilf
@@ -57,12 +55,6 @@ class RationalEnumeration:
         j = index - 2
         a = fusc(j)
         return Fraction(a, a + fusc(j + 1))
-
-    def __iter__(self) -> Iterator[Fraction]:
-        index = 1
-        while True:
-            yield self.term(index)
-            index += 1
 
     def first_index_inside(self, lo: Fraction, hi: Fraction) -> int:
         """The minimal index whose term lies strictly between lo and hi.
@@ -210,19 +202,14 @@ def cantor_embed(
 class UtilityAssignment:
     """Exact rational utility for every element plus its interval kind.
 
-    At finite scale the interval is always "[0,1]"; the other three kinds
-    with endpoints 0 and 1 stay admissible values of the field for
-    compatibility with infinite constructions out of scope here.
+    At finite scale the interval is always "[0,1]".
     """
 
-    values: dict[str, Fraction]
-    interval_kind: str = "[0,1]"
-
-    INTERVAL_KINDS = ("[0,1]", "[0,1)", "(0,1]", "(0,1)")
+    values: Mapping[str, Fraction]
+    interval_kind: ClassVar[str] = "[0,1]"
 
     def __post_init__(self):
-        if self.interval_kind not in self.INTERVAL_KINDS:
-            raise ValueError(f"unknown interval kind {self.interval_kind!r}")
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -239,10 +226,7 @@ def generalized_utility(relation: Relation) -> UtilityAssignment:
     strictly smaller value iff strictly below, equal value iff same bubble.
     """
     system = bubble_decompose(relation)  # NotAPreorder / NotNegativelyTransitive
-    if system.index.n == 1:
-        grid = {system.index.carrier.elements[0]: Fraction(0)}
-    else:
-        grid = cantor_embed(system.index)
+    grid = cantor_embed(system.index)
     values = {x: grid[system.projection[x]] for x in relation.carrier.elements}
     strict = derived_parts(relation).asymmetric_part
     glue = derived_parts(strict).incomparability
@@ -252,7 +236,7 @@ def generalized_utility(relation: Relation) -> UtilityAssignment:
                 raise InvariantViolation("utility-strict", f"({x!r}, {y!r})")
             if (values[x] == values[y]) != glue.has(x, y):
                 raise InvariantViolation("utility-level", f"({x!r}, {y!r})")
-    return UtilityAssignment(values=values, interval_kind="[0,1]")
+    return UtilityAssignment(values=values)
 
 
 # ---------------------------------------------------------------------------

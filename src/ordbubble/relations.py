@@ -17,11 +17,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     CarrierMismatch,
     EmptyCarrier,
+    InvariantViolation,
     NotAnEquivalence,
     ParseError,
     TooLarge,
@@ -154,7 +156,10 @@ class PropertyReport:
     complete: bool
     transitive: bool
     negatively_transitive: bool
-    witnesses: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    witnesses: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 
     def flags(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in _FLAG_NAMES}
@@ -536,11 +541,11 @@ def is_E_complete(relation: Relation, equivalence: Relation) -> bool:
 def transitive_closure(relation: Relation) -> Relation:
     """The minimal transitive relation containing R (paths of length >= 1)."""
     closed = closure_rows(relation.rows, relation.n)
-    out = Relation(relation.carrier, closed)
-    # cheap postcondition: transitive and contains the input
-    assert rows_transitive(closed, relation.n)
-    assert all(a | b == a for a, b in zip(closed, relation.rows))
-    return out
+    if not rows_transitive(closed, relation.n):
+        raise InvariantViolation("closure-transitive", "closure output is not transitive")
+    if any(b & ~a for a, b in zip(closed, relation.rows)):
+        raise InvariantViolation("closure-contains-input", "closure output lost pairs")
+    return Relation(relation.carrier, closed)
 
 
 def restrict(relation: Relation, labels: Iterable[str]) -> Relation:
@@ -577,7 +582,7 @@ def relation_from_json_dict(payload: dict) -> Relation:
     if not isinstance(payload, dict) or "elements" not in payload or "pairs" not in payload:
         raise ParseError("relation JSON needs 'elements' and 'pairs' keys")
     elements = payload["elements"]
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+    if not _is_label_list(elements):
         raise ParseError("'elements' must be a list of strings", "elements")
     try:
         carrier = Carrier(tuple(elements))
@@ -588,10 +593,14 @@ def relation_from_json_dict(payload: dict) -> Relation:
         raise ParseError("'pairs' must be a list", "pairs")
     checked = []
     for k, pair in enumerate(pairs):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError("each pair must have exactly two labels", f"pairs[{k}]")
+        if not _is_label_list(pair) or len(pair) != 2:
+            raise ParseError("each pair must be a list of exactly two string labels", f"pairs[{k}]")
         checked.append((pair[0], pair[1]))
     return make_relation(carrier, checked)
+
+
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def relation_from_matrix_text(text: str) -> Relation:

@@ -14,6 +14,7 @@ the bubble case is a specialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -30,6 +31,7 @@ from .factor import EquivalenceRelation, Partition, classes, factor_relation, we
 from .relations import (
     Carrier,
     Relation,
+    _is_label_list,
     _neg_transitive_witness,
     check_properties,
     check_saturation,
@@ -160,10 +162,11 @@ class BubbleSystem:
     carrier: Carrier
     index: Loset
     bubbles: tuple[Bubble, ...]
-    projection: dict[str, str]
+    projection: Mapping[str, str]
 
     def __post_init__(self):
         object.__setattr__(self, "bubbles", tuple(self.bubbles))
+        object.__setattr__(self, "projection", MappingProxyType(dict(self.projection)))
         self.validate()
 
     def validate(self) -> None:
@@ -186,9 +189,6 @@ class BubbleSystem:
                     raise InvalidSystem(
                         f"projection must send {x!r} to its bubble's index label", (x,)
                     )
-
-    def bubble_for(self, index_label: str) -> Bubble:
-        return self.bubbles[self.index.sorted_labels().index(index_label)]
 
     def partition_equivalence(self) -> EquivalenceRelation:
         blocks = tuple(bubble.elements for bubble in self.bubbles)
@@ -226,14 +226,21 @@ def bubble_system_from_json_dict(payload: dict) -> BubbleSystem:
         raise ParseError("bubble-system JSON needs 'index' and 'bubbles' keys")
     index_labels = payload["index"]
     entries = payload["bubbles"]
-    if not isinstance(index_labels, list) or not isinstance(entries, list):
-        raise ParseError("'index' and 'bubbles' must be lists")
+    if not _is_label_list(index_labels) or not isinstance(entries, list):
+        raise ParseError("'index' must be a list of strings and 'bubbles' a list")
     if len(index_labels) != len(entries):
         raise ParseError("'index' and 'bubbles' must have equal length", "bubbles")
     by_label = {}
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or not {"label", "elements", "inner_pairs"} <= set(entry):
             raise ParseError("bubble entries need label/elements/inner_pairs", f"bubbles[{k}]")
+        if not isinstance(entry["label"], str) or not _is_label_list(entry["elements"]):
+            raise ParseError(
+                "a bubble label must be a string and its elements a list of strings", f"bubbles[{k}]"
+            )
+        pairs = entry["inner_pairs"]
+        if not isinstance(pairs, list) or not all(_is_label_list(p) and len(p) == 2 for p in pairs):
+            raise ParseError("inner_pairs must be a list of two-label lists", f"bubbles[{k}]")
         by_label[entry["label"]] = entry
     if set(by_label) != set(index_labels):
         raise ParseError("bubble labels must match the index labels", "bubbles")

@@ -1,24 +1,24 @@
 """Finite interval topologies over a preorder's strict part.
 
-Open sets are stored as bit-vectors in a frozenset; generation intersects
-the subbase family to a fixpoint and then takes all unions, which for a
-finite carrier produces exactly the generated topology.  Empty intervals
-stay in listings (flagged) because gap detection is defined by their
-emptiness.
+A finite topology is stored as its n minimal neighbourhoods, one bitmask
+per point; its open sets are exactly their unions (Alexandrov), so every
+query here works on the masks.  Only listing the open sets enumerates
+them, and that listing is capped at 16 elements.  Empty intervals stay in
+listings (flagged) because gap detection is defined by their emptiness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotOpen, TooLarge, UnknownLabel, ValidationError
 from .relations import Carrier, Relation, derived_parts, transpose_rows
 from .structure import BubbleSystem, Loset, _require_preorder, bubble_compose
 
-_GENERATION_CAP = 16
+_LISTING_CAP = 16
 _COMPLETENESS_CAP = 12
-_PROJECTION_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -48,31 +48,30 @@ class Interval:
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """A carrier plus the full family of open sets as bitmasks.
+    """A finite topology stored as its minimal neighbourhoods.
 
-    Closure under pairwise union and intersection is validated at
-    construction for families up to 1024 opens; beyond that (possible only
-    near the 16-element generation cap) the generator's construction is
-    the guarantee.
+    ``neighbourhoods[i]`` is the bitmask of U_i, the least open set that
+    contains ``carrier.elements[i]``.  Each U_i contains i, and j in U_i
+    implies U_j within U_i; both are validated at construction.  Only
+    ``opens`` enumerates the open sets, and it is capped at 16 elements.
     """
 
     carrier: Carrier
-    opens: frozenset[int]
-    subbase: tuple[Interval, ...] = ()
+    neighbourhoods: tuple[int, ...]
 
     def __post_init__(self):
-        full = (1 << self.carrier.n) - 1
-        if 0 not in self.opens or full not in self.opens:
-            raise ValidationError("a topology must contain the empty set and the carrier")
-        for a in self.opens:
-            if a & ~full:
-                raise ValidationError("open set out of carrier range")
-        if len(self.opens) <= 1024:
-            members = tuple(self.opens)
-            for a in members:
-                for b in members:
-                    if a & b not in self.opens or a | b not in self.opens:
-                        raise ValidationError("open-set family not closed under union/intersection")
+        hoods = tuple(self.neighbourhoods)
+        object.__setattr__(self, "neighbourhoods", hoods)
+        n = self.carrier.n
+        if len(hoods) != n:
+            raise ValidationError("a topology needs one neighbourhood per element")
+        full = (1 << n) - 1
+        for i, hood in enumerate(hoods):
+            if hood & ~full or not hood >> i & 1:
+                raise ValidationError("a neighbourhood must contain its point and stay in the carrier")
+            for j in _bits(hood):
+                if hoods[j] & ~hood:
+                    raise ValidationError("neighbourhoods must nest: j in U_i needs U_j within U_i")
 
     def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
@@ -84,11 +83,41 @@ class FiniteTopology:
         return tuple(e for j, e in enumerate(self.carrier.elements) if mask >> j & 1)
 
     def is_open(self, labels: Iterable[str]) -> bool:
-        return self.mask_of(labels) in self.opens
+        return self._is_open_mask(self.mask_of(labels))
+
+    def _is_open_mask(self, mask: int) -> bool:
+        hoods = self.neighbourhoods
+        return all(hoods[i] & ~mask == 0 for i in _bits(mask))
+
+    @cached_property
+    def opens(self) -> frozenset[int]:
+        """Every open set as a bitmask, enumerated on first use."""
+        n = self.carrier.n
+        if n > _LISTING_CAP:
+            raise TooLarge(f"listing open sets capped at {_LISTING_CAP} elements, got {n}")
+        return frozenset(m for m in range(1 << n) if self._is_open_mask(m))
 
     def sorted_opens(self) -> list[tuple[str, ...]]:
         """Opens ordered by size then lexicographically by label list."""
         return sorted((self.labels_of(m) for m in self.opens), key=lambda s: (len(s), s))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _least(topology: FiniteTopology, masks: Iterable[int]) -> tuple[str, ...] | None:
+    """The labels of the least mask by size then label list, or None."""
+    return min((topology.labels_of(m) for m in masks), key=lambda s: (len(s), s), default=None)
+
+
+def _minimal_opens(topology: FiniteTopology) -> set[int]:
+    """The minimal nonempty opens: the U_i on which every member has the
+    same neighbourhood.  They are pairwise disjoint."""
+    hoods = topology.neighbourhoods
+    return {hood for hood in hoods if all(hoods[j] == hood for j in _bits(hood))}
 
 
 @dataclass(frozen=True)
@@ -176,59 +205,21 @@ def unique_extents(intervals: Iterable[Interval]) -> list[frozenset[str]]:
 
 
 def generate_topology(carrier: Carrier, subbase: Sequence[Interval]) -> FiniteTopology:
-    """The topology generated by the subbase: all unions of finite
-    intersections of subbase extents, plus the empty set and the carrier."""
-    n = carrier.n
-    if n > _GENERATION_CAP:
-        raise TooLarge(f"topology generation capped at {_GENERATION_CAP} elements, got {n}")
-    full = (1 << n) - 1
-    base_masks = []
+    """The topology generated by the subbase.  The neighbourhood of a point
+    is the intersection of the subbase extents through it, or the whole
+    carrier when none passes through it."""
+    hoods = [(1 << carrier.n) - 1] * carrier.n
+    masks = []
     for interval in subbase:
         mask = 0
         for x in interval.extent:
             mask |= 1 << carrier.position(x)
-        if mask not in base_masks:
-            base_masks.append(mask)
-
-    # close under pairwise intersection with the subbase (reaches every
-    # finite intersection because s1 n ... n sk builds up incrementally)
-    family = set(base_masks)
-    worklist = list(base_masks)
-    while worklist:
-        current = worklist.pop()
-        for s in base_masks:
-            joined = current & s
-            if joined not in family:
-                family.add(joined)
-                worklist.append(joined)
-
-    # all unions of the intersection-closed family: every union is a union
-    # of minimal neighbourhoods, of which there are at most n
-    neighbourhood: dict[int, int] = {}
-    for i in range(n):
-        bit = 1 << i
-        covering = [m for m in family if m & bit]
-        if covering:
-            acc = full
-            for m in covering:
-                acc &= m
-            neighbourhood[i] = acc
-    # every union of family members is a union of minimal neighbourhoods
-    # (each point's smallest covering member), so the union closure is the
-    # union DP over the <= n distinct neighbourhoods
-    distinct = sorted(set(neighbourhood.values()))
-    opens = {0, full}
-    opens.update(family)
-    k = len(distinct)
-    union_of: list[int] = [0] * (1 << k)
-    for code in range(1, 1 << k):
-        low = (code & -code).bit_length() - 1
-        union_of[code] = union_of[code & (code - 1)] | distinct[low]
-    opens.update(union_of)
-
-    topology = FiniteTopology(carrier, frozenset(opens), tuple(subbase))
-    for mask in base_masks:
-        if mask not in topology.opens:
+        masks.append(mask)
+        for i in _bits(mask):
+            hoods[i] &= mask
+    topology = FiniteTopology(carrier, tuple(hoods))
+    for mask in masks:
+        if not topology._is_open_mask(mask):
             raise ValidationError("subbase extent escaped its own topology")
     return topology
 
@@ -242,34 +233,44 @@ def interval_topology(relation: Relation) -> FiniteTopology:
 
 def is_base(family: Sequence[Iterable[str]], topology: FiniteTopology) -> CheckOutcome:
     """True when every open set is a union of family members; the witness
-    is the least open (size, then labels) that is not."""
-    masks = []
+    is the least open (size, then labels) that is not.
+
+    A member M with x in M inside U_x is U_x itself, so the family is a
+    base exactly when it holds every neighbourhood, and the least open
+    that is no union of members is the least missing neighbourhood.
+    """
+    masks = set()
     for member in family:
         mask = topology.mask_of(member)
-        if mask not in topology.opens:
+        if not topology._is_open_mask(mask):
             raise NotOpen("family member is not open", tuple(sorted(member)))
-        masks.append(mask)
-    for labels in topology.sorted_opens():
-        target = topology.mask_of(labels)
-        acc = 0
-        for mask in masks:
-            if mask & ~target == 0:
-                acc |= mask
-        if acc != target:
-            return CheckOutcome(False, labels)
-    return CheckOutcome(True)
+        masks.add(mask)
+    witness = _least(topology, [hood for hood in topology.neighbourhoods if hood not in masks])
+    return CheckOutcome(witness is None, witness)
 
 
 def connectivity_report(topology: FiniteTopology) -> ConnectivityReport:
-    """Connected iff no proper nonempty open has an open complement."""
-    full = (1 << topology.carrier.n) - 1
-    for labels in topology.sorted_opens():
-        mask = topology.mask_of(labels)
-        if mask in (0, full):
-            continue
-        if (full & ~mask) in topology.opens:
-            return ConnectivityReport(False, labels)
-    return ConnectivityReport(True)
+    """Connected iff no proper nonempty open has an open complement.
+
+    The components are those of the graph linking each point to its
+    neighbourhood; the least clopen witness (size, then labels) is the
+    least component.
+    """
+    hoods = topology.neighbourhoods
+    components = []
+    left = (1 << topology.carrier.n) - 1
+    while left:
+        component = left & -left
+        grown = None
+        while grown != component:
+            grown = component
+            for hood in hoods:
+                if hood & component:
+                    component |= hood
+        components.append(component)
+        left &= ~component
+    witness = _least(topology, components) if len(components) > 1 else None
+    return ConnectivityReport(witness is None, witness)
 
 
 def gaps(relation: Relation) -> list[tuple[str, str]]:
@@ -329,42 +330,39 @@ def order_completeness_report(order: Loset) -> CompletenessReport:
 
 
 def _finite_subcover_exists(topology: FiniteTopology) -> bool:
-    """Extract a subcover of size <= n from the cover by all opens; any
-    open cover of a finite space admits one by the same point-wise pick."""
-    n = topology.carrier.n
-    full = (1 << n) - 1
-    ordered = [topology.mask_of(labels) for labels in topology.sorted_opens()]
-    chosen = []
-    for i in range(n):
-        bit = 1 << i
-        for mask in ordered:
-            if mask & bit:
-                chosen.append(mask)
-                break
-        else:
-            return False
+    """Extract a subcover of size <= n from the cover by all opens: the
+    least open through each point is its neighbourhood.  Any open cover of
+    a finite space admits one by the same point-wise pick."""
     acc = 0
-    for mask in chosen:
+    for mask in topology.neighbourhoods:
         acc |= mask
-    return acc == full and len(chosen) <= n
+    return acc == (1 << topology.carrier.n) - 1
 
 
 def continuity_check(
     mapping: Mapping[str, str], source: FiniteTopology, target: FiniteTopology
 ) -> CheckOutcome:
     """True iff the preimage of every open of the target is open in the
-    source; the witness is the first failing target open."""
+    source; the witness is the least failing target open (size, then
+    labels).
+
+    The map is continuous exactly when it sends each U_x into U_f(x), and
+    the least failing target open is the least U_f(x) over the x where it
+    does not.
+    """
     for x in source.carrier.elements:
         if x not in mapping:
             raise ValidationError(f"map is not total: {x!r} has no image", (x,))
         if mapping[x] not in target.carrier:
             raise UnknownLabel(f"image {mapping[x]!r} not in target carrier", (x,))
-    for labels in target.sorted_opens():
-        members = set(labels)
-        preimage = [x for x in source.carrier.elements if mapping[x] in members]
-        if not source.is_open(preimage):
-            return CheckOutcome(False, labels)
-    return CheckOutcome(True)
+    failing = []
+    for x, hood in zip(source.carrier.elements, source.neighbourhoods):
+        image = target.mask_of(mapping[y] for y in source.labels_of(hood))
+        target_hood = target.neighbourhoods[target.carrier.position(mapping[x])]
+        if image & ~target_hood:
+            failing.append(target_hood)
+    witness = _least(target, failing)
+    return CheckOutcome(witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +375,6 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
     spaces agree on connectedness, and a minimal dense subset projects
     onto a dense subset."""
     system.validate()
-    if system.carrier.n > _PROJECTION_CAP:
-        raise TooLarge(f"projection check capped at {_PROJECTION_CAP} elements")
     relation = bubble_compose(system)
     projection = system.projection
     index_relation = system.index.relation()
@@ -407,22 +403,14 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
     if system.index.n == 1:
         # a single bubble has no nonempty intervals; both spaces are the
         # indiscrete pair and the base question degenerates
-        base = top_a.opens == frozenset({0, (1 << system.carrier.n) - 1})
+        full = (1 << system.carrier.n) - 1
+        base = all(hood == full for hood in top_a.neighbourhoods)
     else:
         base = is_base(sorted(extents_a, key=sorted), top_a).holds
 
-    continuous = all(
-        top_a.mask_of(pull_back(frozenset(labels))) in top_a.opens
-        for labels in top_i.sorted_opens()
-    )
-    open_map = all(
-        top_i.mask_of(project(frozenset(labels))) in top_i.opens
-        for labels in top_a.sorted_opens()
-    )
-
-    preimage_topology = top_a.opens == frozenset(
-        top_a.mask_of(pull_back(frozenset(labels))) for labels in top_i.sorted_opens()
-    )
+    continuous = continuity_check(projection, top_a, top_i).holds
+    open_map = _is_open_map(projection, top_a, top_i)
+    preimage_topology = _is_preimage_topology(projection, top_a, top_i)
 
     connected_match = (
         connectivity_report(top_a).connected == connectivity_report(top_i).connected
@@ -441,28 +429,38 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
     )
 
 
-def _is_dense(topology: FiniteTopology, subset: Iterable[str]) -> bool:
-    mask = topology.mask_of(subset)
+def _is_open_map(mapping: Mapping[str, str], source: FiniteTopology, target: FiniteTopology) -> bool:
+    """Every open, so every neighbourhood, goes onto an open."""
     return all(
-        mask & topology.mask_of(labels)
-        for labels in topology.sorted_opens()
-        if labels
+        target.is_open(mapping[y] for y in source.labels_of(hood)) for hood in source.neighbourhoods
     )
 
 
+def _is_preimage_topology(
+    mapping: Mapping[str, str], source: FiniteTopology, target: FiniteTopology
+) -> bool:
+    """The opens of the source are the preimages of the target's: each U_x
+    is the preimage of U_f(x)."""
+    elems = source.carrier.elements
+    for x, hood in zip(elems, source.neighbourhoods):
+        image_hood = target.neighbourhoods[target.carrier.position(mapping[x])]
+        members = set(target.labels_of(image_hood))
+        if hood != source.mask_of(y for y in elems if mapping[y] in members):
+            return False
+    return True
+
+
+def _is_dense(topology: FiniteTopology, subset: Iterable[str]) -> bool:
+    """Meets every nonempty open, that is, every minimal one."""
+    mask = topology.mask_of(subset)
+    return all(mask & hood for hood in _minimal_opens(topology))
+
+
 def _minimal_dense_subset(topology: FiniteTopology) -> set[str]:
-    """A deterministic inclusion-minimal dense subset: hit every minimal
-    nonempty open with its least element, then drop redundant picks."""
-    nonempty = [topology.mask_of(labels) for labels in topology.sorted_opens() if labels]
-    minimal = [
-        m for m in nonempty if not any(other != m and other & ~m == 0 for other in nonempty)
-    ]
-    picks: set[str] = set()
-    for mask in minimal:
-        least = (mask & -mask).bit_length() - 1
-        picks.add(topology.carrier.elements[least])
-    for label in sorted(picks, reverse=True):
-        trimmed = picks - {label}
-        if trimmed and _is_dense(topology, trimmed):
-            picks = trimmed
-    return picks
+    """A deterministic inclusion-minimal dense subset: the least element of
+    every minimal nonempty open.  These opens are pairwise disjoint, so no
+    pick can be dropped."""
+    return {
+        topology.carrier.elements[(hood & -hood).bit_length() - 1]
+        for hood in _minimal_opens(topology)
+    }

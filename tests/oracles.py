@@ -2,15 +2,26 @@
 
 Everything here quantifies explicitly over element labels with plain
 loops, deliberately avoiding the package's bitmask kernels, so the two
-routes can disagree when one of them is wrong.
+routes can disagree when one of them is wrong.  The exception is the
+enumerated-topology section at the end: the earlier implementation of the
+topology queries, kept as the reference for the neighbourhood model.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 from ordbubble import Carrier, EquivalenceRelation, Relation, make_relation
-from ordbubble.structure import Bubble, BubbleSystem, Loset
+from ordbubble.errors import NotOpen, TooLarge, UnknownLabel, ValidationError
+from ordbubble.structure import Bubble, BubbleSystem, Loset, bubble_compose
+from ordbubble.topology import (
+    CheckOutcome,
+    ConnectivityReport,
+    ProjectionReport,
+    open_intervals,
+    unique_extents,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +248,233 @@ def naive_generated_opens(carrier: Carrier, extents) -> set[frozenset]:
     family.add(frozenset())
     family.add(frozenset(carrier.elements))
     return family
+
+
+# ---------------------------------------------------------------------------
+# enumerated topologies
+#
+# The earlier implementation of the topology queries, which stored a
+# finite topology as its whole family of open sets and answered every
+# query by walking that family.  It is the reference the neighbourhood
+# model is checked against.
+
+_ENUMERATION_CAP = 16
+
+
+@dataclass(frozen=True)
+class EnumeratedTopology:
+    """A carrier plus the full family of open sets as bitmasks."""
+
+    carrier: Carrier
+    opens: frozenset
+
+    def __post_init__(self):
+        full = (1 << self.carrier.n) - 1
+        if 0 not in self.opens or full not in self.opens:
+            raise ValidationError("a topology must contain the empty set and the carrier")
+        for a in self.opens:
+            if a & ~full:
+                raise ValidationError("open set out of carrier range")
+        if len(self.opens) <= 1024:
+            members = tuple(self.opens)
+            for a in members:
+                for b in members:
+                    if a & b not in self.opens or a | b not in self.opens:
+                        raise ValidationError("open-set family not closed under union/intersection")
+
+    def mask_of(self, labels) -> int:
+        mask = 0
+        for x in labels:
+            mask |= 1 << self.carrier.position(x)
+        return mask
+
+    def labels_of(self, mask: int) -> tuple:
+        return tuple(e for j, e in enumerate(self.carrier.elements) if mask >> j & 1)
+
+    def is_open(self, labels) -> bool:
+        return self.mask_of(labels) in self.opens
+
+    def sorted_opens(self) -> list:
+        return sorted((self.labels_of(m) for m in self.opens), key=lambda s: (len(s), s))
+
+
+def enumerated_topology(carrier: Carrier, subbase) -> EnumeratedTopology:
+    """All unions of finite intersections of subbase extents: close under
+    pairwise intersection, then take the unions of the minimal
+    neighbourhoods by a dynamic program over their subsets."""
+    n = carrier.n
+    if n > _ENUMERATION_CAP:
+        raise TooLarge(f"topology generation capped at {_ENUMERATION_CAP} elements, got {n}")
+    full = (1 << n) - 1
+    base_masks = []
+    for interval in subbase:
+        mask = 0
+        for x in interval.extent:
+            mask |= 1 << carrier.position(x)
+        if mask not in base_masks:
+            base_masks.append(mask)
+    family = set(base_masks)
+    worklist = list(base_masks)
+    while worklist:
+        current = worklist.pop()
+        for s in base_masks:
+            joined = current & s
+            if joined not in family:
+                family.add(joined)
+                worklist.append(joined)
+    neighbourhood = {}
+    for i in range(n):
+        bit = 1 << i
+        covering = [m for m in family if m & bit]
+        if covering:
+            acc = full
+            for m in covering:
+                acc &= m
+            neighbourhood[i] = acc
+    distinct = sorted(set(neighbourhood.values()))
+    opens = {0, full}
+    opens.update(family)
+    k = len(distinct)
+    union_of = [0] * (1 << k)
+    for code in range(1, 1 << k):
+        low = (code & -code).bit_length() - 1
+        union_of[code] = union_of[code & (code - 1)] | distinct[low]
+    opens.update(union_of)
+    topology = EnumeratedTopology(carrier, frozenset(opens))
+    for mask in base_masks:
+        if mask not in topology.opens:
+            raise ValidationError("subbase extent escaped its own topology")
+    return topology
+
+
+def enumerated_is_base(family, topology: EnumeratedTopology) -> CheckOutcome:
+    masks = []
+    for member in family:
+        mask = topology.mask_of(member)
+        if mask not in topology.opens:
+            raise NotOpen("family member is not open", tuple(sorted(member)))
+        masks.append(mask)
+    for labels in topology.sorted_opens():
+        target = topology.mask_of(labels)
+        acc = 0
+        for mask in masks:
+            if mask & ~target == 0:
+                acc |= mask
+        if acc != target:
+            return CheckOutcome(False, labels)
+    return CheckOutcome(True)
+
+
+def enumerated_connectivity(topology: EnumeratedTopology) -> ConnectivityReport:
+    full = (1 << topology.carrier.n) - 1
+    for labels in topology.sorted_opens():
+        mask = topology.mask_of(labels)
+        if mask in (0, full):
+            continue
+        if (full & ~mask) in topology.opens:
+            return ConnectivityReport(False, labels)
+    return ConnectivityReport(True)
+
+
+def enumerated_continuity(mapping, source: EnumeratedTopology, target: EnumeratedTopology) -> CheckOutcome:
+    for x in source.carrier.elements:
+        if x not in mapping:
+            raise ValidationError(f"map is not total: {x!r} has no image", (x,))
+        if mapping[x] not in target.carrier:
+            raise UnknownLabel(f"image {mapping[x]!r} not in target carrier", (x,))
+    for labels in target.sorted_opens():
+        members = set(labels)
+        preimage = [x for x in source.carrier.elements if mapping[x] in members]
+        if not source.is_open(preimage):
+            return CheckOutcome(False, labels)
+    return CheckOutcome(True)
+
+
+def enumerated_is_open_map(mapping, source: EnumeratedTopology, target: EnumeratedTopology) -> bool:
+    return all(
+        target.mask_of(frozenset(mapping[x] for x in labels)) in target.opens
+        for labels in source.sorted_opens()
+    )
+
+
+def enumerated_is_preimage_topology(mapping, source: EnumeratedTopology, target: EnumeratedTopology) -> bool:
+    def pull_back(subset):
+        return frozenset(x for x in source.carrier.elements if mapping[x] in subset)
+
+    return source.opens == frozenset(
+        source.mask_of(pull_back(frozenset(labels))) for labels in target.sorted_opens()
+    )
+
+
+def _enumerated_is_dense(topology: EnumeratedTopology, subset) -> bool:
+    mask = topology.mask_of(subset)
+    return all(mask & topology.mask_of(labels) for labels in topology.sorted_opens() if labels)
+
+
+def enumerated_minimal_opens(topology: EnumeratedTopology) -> list:
+    """The minimal nonempty opens, in listing order."""
+    nonempty = [topology.mask_of(labels) for labels in topology.sorted_opens() if labels]
+    return [m for m in nonempty if not any(other != m and other & ~m == 0 for other in nonempty)]
+
+
+def enumerated_minimal_dense_subset(topology: EnumeratedTopology) -> set:
+    picks = set()
+    for mask in enumerated_minimal_opens(topology):
+        least = (mask & -mask).bit_length() - 1
+        picks.add(topology.carrier.elements[least])
+    for label in sorted(picks, reverse=True):
+        trimmed = picks - {label}
+        if trimmed and _enumerated_is_dense(topology, trimmed):
+            picks = trimmed
+    return picks
+
+
+def enumerated_projection_check(system: BubbleSystem) -> ProjectionReport:
+    system.validate()
+    relation = bubble_compose(system)
+    projection = system.projection
+    index_relation = system.index.relation()
+
+    intervals_a = open_intervals(relation)
+    intervals_i = open_intervals(index_relation)
+    top_a = enumerated_topology(relation.carrier, intervals_a)
+    top_i = enumerated_topology(index_relation.carrier, intervals_i)
+
+    extents_a = {e for e in unique_extents(intervals_a) if e}
+    extents_i = {e for e in unique_extents(intervals_i) if e}
+
+    def project(subset):
+        return frozenset(projection[x] for x in subset)
+
+    def pull_back(subset):
+        return frozenset(x for x in system.carrier.elements if projection[x] in subset)
+
+    bijection = (
+        {project(e) for e in extents_a} == extents_i
+        and {pull_back(k) for k in extents_i} == extents_a
+        and all(pull_back(project(e)) == e for e in extents_a)
+        and all(project(pull_back(k)) == k for k in extents_i)
+    )
+    if system.index.n == 1:
+        base = top_a.opens == frozenset({0, (1 << system.carrier.n) - 1})
+    else:
+        base = enumerated_is_base(sorted(extents_a, key=sorted), top_a).holds
+    continuous = all(
+        top_a.mask_of(pull_back(frozenset(labels))) in top_a.opens
+        for labels in top_i.sorted_opens()
+    )
+    open_map = enumerated_is_open_map(projection, top_a, top_i)
+    preimage_topology = enumerated_is_preimage_topology(projection, top_a, top_i)
+    connected_match = (
+        enumerated_connectivity(top_a).connected == enumerated_connectivity(top_i).connected
+    )
+    dense = enumerated_minimal_dense_subset(top_a)
+    dense_image = _enumerated_is_dense(top_i, {projection[x] for x in dense})
+    return ProjectionReport(
+        extent_bijection=bijection,
+        extents_form_base=base,
+        continuous_and_open=continuous and open_map,
+        preimage_topology=preimage_topology,
+        connectedness_match=connected_match,
+        dense_image=dense_image,
+    )

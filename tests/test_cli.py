@@ -113,6 +113,28 @@ def test_parse_errors_exit_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "verb, content",
+    [
+        ("analyze", json.dumps({"elements": ["a", "b"], "pairs": [[["a"], "b"]]}).encode()),
+        (
+            "bubble",
+            json.dumps(
+                {"index": ["B0"], "bubbles": [{"label": "B0", "elements": ["a"], "inner_pairs": [["a"]]}]}
+            ).encode(),
+        ),
+        ("analyze", b"2\n11\n01\n\xff\n"),
+    ],
+    ids=["unhashable-pair-label", "short-inner-pair", "not-utf8"],
+)
+def test_malformed_input_is_a_parse_error(verb, content, tmp_path):
+    path = tmp_path / "bad.in"
+    path.write_bytes(content)
+    code, report = run_cli([verb, "--in", str(path)], tmp_path)
+    assert code == 1
+    assert report["kind"] == "ParseError"
+
+
 def test_bubble_verb_requires_system_input(two_bubble_file, tmp_path):
     code, report = run_cli(["bubble", "--in", two_bubble_file], tmp_path)
     assert code == 1

@@ -24,6 +24,7 @@ from ordbubble import (
     empty_relation,
     enumerate_preorders,
     full_relation,
+    generalized_utility,
     join_pair,
     make_relation,
     split_preorder,
@@ -430,3 +431,18 @@ def test_loset_from_relation_and_back():
     order = Loset.chain(("p", "q", "r"))
     assert Loset.from_relation(order.relation()).sorted_labels() == ("p", "q", "r")
     assert order.least() == "p" and order.greatest() == "r"
+
+
+def test_public_mappings_are_read_only():
+    ab = Carrier(("a", "b"))
+    system = bubble_decompose(make_relation(ab, [("a", "a"), ("b", "b"), ("a", "b")]))
+    utility = generalized_utility(bubble_compose(system))
+    report = check_properties(make_relation(ab, [("a", "b")]))
+    for mapping, key, value in (
+        (system.projection, "a", "ZZ"),
+        (utility.values, "a", 2),
+        (report.witnesses, "reflexive", ("b",)),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    assert system.projection["a"] != "ZZ" and report.witnesses["reflexive"] == ("a",)

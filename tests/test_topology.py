@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import oracles
 from ordbubble import (
     Carrier,
     FiniteTopology,
+    Interval,
     Loset,
     NotOpen,
     TooLarge,
@@ -26,8 +28,18 @@ from ordbubble import (
     open_intervals,
     order_completeness_report,
     projection_check,
+    transitive_closure,
 )
-from ordbubble.topology import unique_extents
+from ordbubble.cli import main
+from ordbubble.errors import ValidationError
+from ordbubble.structure import enumerate_preorders
+from ordbubble.topology import (
+    _is_open_map,
+    _is_preimage_topology,
+    _minimal_dense_subset,
+    _minimal_opens,
+    unique_extents,
+)
 from ordbubble.sweep import random_bubble_system
 
 AB = Carrier(("a", "b"))
@@ -103,10 +115,29 @@ def test_three_chain_topology_is_power_set():
     assert len(t.sorted_opens()) == 8
 
 
-def test_generation_cap():
+def test_generation_cap(tmp_path):
+    # generation is uncapped; only listing the opens is
     labels = tuple(f"e{i}" for i in range(17))
+    topology = generate_topology(Carrier(labels), [])
     with pytest.raises(TooLarge):
-        generate_topology(Carrier(labels), [])
+        topology.sorted_opens()
+    path = tmp_path / "chain17.json"
+    path.write_text(json.dumps(Loset.chain(labels).relation().to_json_dict()))
+    out = tmp_path / "report.json"
+    assert main(["topology", "--in", str(path), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["kind"] == "TooLarge"
+
+
+def test_neighbourhoods_are_validated():
+    with pytest.raises(ValidationError):
+        FiniteTopology(AB, (0b10, 0b11))  # a's neighbourhood misses a
+    with pytest.raises(ValidationError):
+        FiniteTopology(ABC, (0b011, 0b110, 0b100))  # b in U_a but U_b not in U_a
+    with pytest.raises(ValidationError):
+        FiniteTopology(AB, (0b11,))
+    assert FiniteTopology(ABC, (0b011, 0b010, 0b111)).sorted_opens() == [
+        (), ("b",), ("a", "b"), ("a", "b", "c")
+    ]
 
 
 def test_generation_matches_naive_fixpoint_oracle():
@@ -326,3 +357,122 @@ def test_utility_continuity_small_exhaustive():
             grid_topology = interval_topology(Loset.chain(tuple(grid_labels)).relation())
             mapping = {x: str(v) for x, v in values.items()}
             assert continuity_check(mapping, interval_topology(r), grid_topology).holds
+
+
+# ---------------------------------------------------------------------------
+# the neighbourhood model against the enumerated reference in oracles.py
+
+def extent_subbase(relation):
+    """The rows of a preorder as a subbase: it generates the topology whose
+    neighbourhoods are the rows, so every finite topology arises."""
+    elems = relation.carrier.elements
+    return [
+        Interval("bounded", None, None, frozenset(e for j, e in enumerate(elems) if row >> j & 1))
+        for row in relation.rows
+    ]
+
+
+def random_preorder(rnd, n):
+    labels = tuple(f"e{i}" for i in range(n))
+    density = rnd.choice((0.05, 0.1, 0.2, 0.35))
+    pairs = [(x, y) for x in labels for y in labels if rnd.random() < density]
+    return transitive_closure(preorder(Carrier(labels), pairs))
+
+
+def assert_matches_enumeration(carrier, subbase, rnd):
+    """Generation, bases, connectivity, minimal opens and dense subsets
+    agree with the enumerated reference; returns both topologies."""
+    ours = generate_topology(carrier, subbase)
+    ref = oracles.enumerated_topology(carrier, subbase)
+    assert ours.sorted_opens() == ref.sorted_opens()
+    assert ours.opens == ref.opens
+    assert connectivity_report(ours) == oracles.enumerated_connectivity(ref)
+    opens = ref.sorted_opens()
+    families = [
+        sorted((e for e in unique_extents(subbase) if e), key=sorted),
+        rnd.sample(opens, rnd.randint(0, len(opens))),
+        [labels for labels in opens if len(labels) != 1],
+    ]
+    for family in families:
+        assert is_base(family, ours) == oracles.enumerated_is_base(family, ref)
+    assert sorted(_minimal_opens(ours)) == sorted(oracles.enumerated_minimal_opens(ref))
+    assert _minimal_dense_subset(ours) == oracles.enumerated_minimal_dense_subset(ref)
+    return ours, ref
+
+
+def assert_map_matches_enumeration(mapping, source, target):
+    (ours_s, ref_s), (ours_t, ref_t) = source, target
+    assert continuity_check(mapping, ours_s, ours_t) == oracles.enumerated_continuity(
+        mapping, ref_s, ref_t
+    )
+    assert _is_open_map(mapping, ours_s, ours_t) == oracles.enumerated_is_open_map(
+        mapping, ref_s, ref_t
+    )
+    assert _is_preimage_topology(mapping, ours_s, ours_t) == (
+        oracles.enumerated_is_preimage_topology(mapping, ref_s, ref_t)
+    )
+
+
+def pulled_back(relation, mapping, target):
+    """The preorder x <= y iff f(x) <= f(y)."""
+    elems = relation.carrier.elements
+    return make_relation(
+        relation.carrier,
+        [(x, y) for x in elems for y in elems if target.has(mapping[x], mapping[y])],
+    )
+
+
+def check_maps_into(rnd, relation, targets):
+    """Random maps and pull-back maps into each target, on the interval
+    and the row topologies."""
+    source_pairs = {}
+    elems = relation.carrier.elements
+    for target in targets:
+        for mapping in (
+            {x: rnd.choice(target.carrier.elements) for x in elems},
+            {x: rnd.choice(target.carrier.elements[:2]) for x in elems},
+        ):
+            pullback = pulled_back(relation, mapping, target)
+            for source_relation, make_subbase in (
+                (relation, open_intervals),
+                (relation, extent_subbase),
+                (pullback, extent_subbase),
+            ):
+                key = (source_relation.rows, make_subbase)
+                if key not in source_pairs:
+                    source_pairs[key] = assert_matches_enumeration(
+                        source_relation.carrier, make_subbase(source_relation), rnd
+                    )
+                target_pair = assert_matches_enumeration(
+                    target.carrier, make_subbase(target), rnd
+                )
+                assert_map_matches_enumeration(mapping, source_pairs[key], target_pair)
+
+
+def test_neighbourhood_model_matches_enumeration_on_every_small_preorder():
+    rnd = random.Random(37)
+    targets = [chain(("p", "q")), preorder(ABC, [("a", "b"), ("c", "b")])]
+    for n in (1, 2, 3, 4):
+        for relation in enumerate_preorders(n):
+            check_maps_into(rnd, relation, targets)
+
+
+def test_neighbourhood_model_matches_enumeration_on_random_preorders():
+    rnd = random.Random(41)
+    for _ in range(40):
+        relation = random_preorder(rnd, rnd.randint(5, 12))
+        targets = [random_preorder(rnd, rnd.randint(2, 5)), chain(("p", "q", "r"))]
+        check_maps_into(rnd, relation, targets)
+
+
+def test_projection_reports_match_enumeration():
+    rnd = random.Random(43)
+    checked = 0
+    while checked < 60:
+        system = random_bubble_system(rnd, max_index=6, max_bubble=3)
+        if system.carrier.n > 12:
+            continue
+        assert projection_check(system) == oracles.enumerated_projection_check(system)
+        relation = bubble_compose(system)
+        assert_matches_enumeration(relation.carrier, open_intervals(relation), rnd)
+        checked += 1
