@@ -54,27 +54,32 @@ def parse_input(path: str, format: str = "auto"):
         raise ParseError("input is not valid UTF-8", f"byte {exc.start}") from None
     if format == "matrix":
         return relation_from_matrix_text(text)
-    if format in ("relation_json", "bubble_json"):
-        payload = _load_json(text)
-        if format == "relation_json":
-            return relation_from_json_dict(payload)
-        return bubble_system_from_json_dict(payload)
-    if format != "auto":
+    if format not in ("auto", "relation_json", "bubble_json"):
         raise ParseError(f"unknown format {format!r}")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
+        payload = _load_json(text)
+    except ParseError:
+        if format != "auto":
+            raise
         return relation_from_matrix_text(text)
-    if isinstance(payload, dict) and "bubbles" in payload:
+    if format == "auto":
+        is_system = isinstance(payload, dict) and "bubbles" in payload
+        format = "bubble_json" if is_system else "relation_json"
+    if format == "bubble_json":
         return bubble_system_from_json_dict(payload)
     return relation_from_json_dict(payload)
 
 
-def _load_json(text: str) -> dict:
+def _load_json(text: str):
+    """The one JSON path: every way ``json.loads`` can refuse text (bad
+    syntax, nesting too deep, an integer past the digit limit) is a
+    ``ParseError``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
 
 
 def _digest(path: str | None, options: dict) -> str:

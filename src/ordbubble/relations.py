@@ -7,16 +7,23 @@ calculus (inverse, complement, symmetric/asymmetric parts, closure, the
 predicate battery) word-parallel, which keeps exhaustive sweeps over all
 relations of a small carrier cheap.
 
+This module holds the package's one row-kernel layer: a witness kernel per
+property (reflexive through negatively transitive) and one composition
+kernel, ``_compose_witness``, behind transitivity and saturation.
+``check_properties``, ``check_saturation`` and the sweep batteries all call
+these kernels; none of them keeps a copy.  A kernel returns the
+lexicographically least violating tuple of indices in carrier order, or
+None, so reports are reproducible and a predicate is ``kernel(...) is
+None``.
+
 All values are immutable; every operation is a pure function of its inputs.
-Witness-producing checks scan in carrier order and always report the
-lexicographically least violating tuple, so reports are reproducible.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -178,7 +185,9 @@ class SaturationCheck:
 
 
 # ---------------------------------------------------------------------------
-# row-level kernels (shared by the public API and the sweep harness)
+# row-level kernels (see the module docstring).  Kernels that compare rows
+# with columns take the transpose ``tr``, so a caller that runs several of
+# them computes it once.
 
 def transpose_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     cols = [0] * n
@@ -200,76 +209,6 @@ def diagonal_rows(n: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(n))
 
 
-def rows_reflexive(rows, n) -> bool:
-    return all(rows[i] >> i & 1 for i in range(n))
-
-
-def rows_irreflexive(rows, n) -> bool:
-    return not any(rows[i] >> i & 1 for i in range(n))
-
-
-def rows_symmetric(rows, n) -> bool:
-    return rows == transpose_rows(rows, n)
-
-
-def rows_antisymmetric(rows, n) -> bool:
-    tr = transpose_rows(rows, n)
-    return all((rows[i] & tr[i]) & ~(1 << i) == 0 for i in range(n))
-
-
-def rows_asymmetric(rows, n) -> bool:
-    tr = transpose_rows(rows, n)
-    return all(rows[i] & tr[i] == 0 for i in range(n))
-
-
-def rows_complete(rows, n) -> bool:
-    tr = transpose_rows(rows, n)
-    full = (1 << n) - 1
-    return all(rows[i] | tr[i] == full for i in range(n))
-
-
-def compose_rows(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """(a . b)[x][z] iff exists y with a[x][y] and b[y][z]."""
-    out = []
-    for row in a:
-        acc = 0
-        r = row
-        while r:
-            y = (r & -r).bit_length() - 1
-            acc |= b[y]
-            r &= r - 1
-        out.append(acc)
-    return tuple(out)
-
-
-def rows_transitive(rows, n) -> bool:
-    for row in rows:
-        acc = 0
-        r = row
-        while r:
-            y = (r & -r).bit_length() - 1
-            acc |= rows[y]
-            r &= r - 1
-        if acc & ~row:
-            return False
-    return True
-
-
-def rows_negatively_transitive(rows, n) -> bool:
-    """xRz implies xRy or yRz, quantified word-parallel over y."""
-    tr = transpose_rows(rows, n)
-    full = (1 << n) - 1
-    for i in range(n):
-        row = rows[i]
-        r = row
-        while r:
-            z = (r & -r).bit_length() - 1
-            if row | tr[z] != full:
-                return False
-            r &= r - 1
-    return True
-
-
 def closure_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Reachability with at least one step (Warshall over bitmask rows)."""
     out = list(rows)
@@ -282,8 +221,13 @@ def closure_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# witness scans (direct quantification, lexicographically least tuple)
+def _least_pair(masks: Iterable[int]) -> tuple[int, int] | None:
+    """(i, j) for the first nonzero mask i and its lowest bit j."""
+    for i, mask in enumerate(masks):
+        if mask:
+            return (i, (mask & -mask).bit_length() - 1)
+    return None
+
 
 def _reflexive_witness(rows, n):
     for i in range(n):
@@ -299,58 +243,53 @@ def _irreflexive_witness(rows, n):
     return None
 
 
-def _symmetric_witness(rows, n):
-    for i in range(n):
-        for j in range(n):
-            if rows[i] >> j & 1 and not rows[j] >> i & 1:
-                return (i, j)
-    return None
+def _symmetric_witness(rows, tr, n):
+    return _least_pair(r & ~t for r, t in zip(rows, tr))
 
 
-def _antisymmetric_witness(rows, n):
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[i] >> j & 1 and rows[j] >> i & 1:
-                return (i, j)
-    return None
+def _antisymmetric_witness(rows, tr, n):
+    return _least_pair(r & t & ~(1 << i) for i, (r, t) in enumerate(zip(rows, tr)))
 
 
-def _asymmetric_witness(rows, n):
-    for i in range(n):
-        for j in range(n):
-            if rows[i] >> j & 1 and rows[j] >> i & 1:
-                return (i, j)
-    return None
+def _asymmetric_witness(rows, tr, n):
+    return _least_pair(r & t for r, t in zip(rows, tr))
 
 
-def _complete_witness(rows, n):
-    for i in range(n):
-        for j in range(n):
-            if not rows[i] >> j & 1 and not rows[j] >> i & 1:
-                return (i, j)
+def _complete_witness(rows, tr, n):
+    full = (1 << n) - 1
+    return _least_pair(full & ~(r | t) for r, t in zip(rows, tr))
+
+
+def _compose_witness(a, b, c, n):
+    """The least (x, y, z) with a[x][y], b[y][z] and not c[x][z]; None
+    exactly when the composite a.b lies inside c."""
+    for x, row in enumerate(a):
+        keep = c[x]
+        while row:
+            y = (row & -row).bit_length() - 1
+            bad = b[y] & ~keep
+            if bad:
+                return (x, y, (bad & -bad).bit_length() - 1)
+            row &= row - 1
     return None
 
 
 def _transitive_witness(rows, n):
-    for i in range(n):
-        for j in range(n):
-            if rows[i] >> j & 1:
-                bad = rows[j] & ~rows[i]
-                if bad:
-                    return (i, j, (bad & -bad).bit_length() - 1)
-    return None
+    return _compose_witness(rows, rows, rows, n)
 
 
 def _neg_transitive_witness(rows, n):
-    # Direct O(n^3) quantification of "xRz implies xRy or yRz"; this scan is
-    # the oracle other modules rely on, so no algebraic shortcut is taken.
-    for i in range(n):
-        for j in range(n):
-            if rows[i] >> j & 1:
-                continue
-            for k in range(n):
-                if rows[i] >> k & 1 and not rows[j] >> k & 1:
-                    return (i, j, k)
+    """xRz implies xRy or yRz: for each x, each y outside row x in order,
+    the least z in row x that row y misses."""
+    full = (1 << n) - 1
+    for x, row in enumerate(rows):
+        outside = full & ~row
+        while outside:
+            y = (outside & -outside).bit_length() - 1
+            bad = row & ~rows[y]
+            if bad:
+                return (x, y, (bad & -bad).bit_length() - 1)
+            outside &= outside - 1
     return None
 
 
@@ -424,31 +363,26 @@ def derived_parts(relation: Relation) -> DerivedParts:
 
 
 def check_properties(relation: Relation) -> PropertyReport:
-    """Evaluate the predicate battery by exhaustive quantification.
+    """Evaluate the predicate battery with the witness kernels.
 
     Every false flag is accompanied by the least violating tuple under
     carrier order.
     """
     rows, n = relation.rows, relation.n
-    elems = relation.carrier.elements
-    witnesses: dict[str, tuple[str, ...]] = {}
-    results: dict[str, bool] = {}
-    scans = {
-        "reflexive": _reflexive_witness,
-        "irreflexive": _irreflexive_witness,
-        "symmetric": _symmetric_witness,
-        "antisymmetric": _antisymmetric_witness,
-        "asymmetric": _asymmetric_witness,
-        "complete": _complete_witness,
-        "transitive": _transitive_witness,
-        "negatively_transitive": _neg_transitive_witness,
+    tr = transpose_rows(rows, n)
+    found = {
+        "reflexive": _reflexive_witness(rows, n),
+        "irreflexive": _irreflexive_witness(rows, n),
+        "symmetric": _symmetric_witness(rows, tr, n),
+        "antisymmetric": _antisymmetric_witness(rows, tr, n),
+        "asymmetric": _asymmetric_witness(rows, tr, n),
+        "complete": _complete_witness(rows, tr, n),
+        "transitive": _transitive_witness(rows, n),
+        "negatively_transitive": _neg_transitive_witness(rows, n),
     }
-    for name, scan in scans.items():
-        w = scan(rows, n)
-        results[name] = w is None
-        if w is not None:
-            witnesses[name] = tuple(elems[i] for i in w)
-    return PropertyReport(witnesses=witnesses, **results)
+    elems = relation.carrier.elements
+    witnesses = {name: tuple(elems[i] for i in w) for name, w in found.items() if w is not None}
+    return PropertyReport(witnesses=witnesses, **{name: w is None for name, w in found.items()})
 
 
 def check_saturation(s: Relation, e: Relation, mode: str) -> SaturationCheck:
@@ -468,28 +402,6 @@ def check_saturation(s: Relation, e: Relation, mode: str) -> SaturationCheck:
     elems = s.carrier.elements
     srows, erows = s.rows, e.rows
 
-    def left_witness():
-        for x in range(n):
-            er = erows[x]
-            while er:
-                y = (er & -er).bit_length() - 1
-                bad = srows[y] & ~srows[x]
-                if bad:
-                    return (x, y, (bad & -bad).bit_length() - 1)
-                er &= er - 1
-        return None
-
-    def right_witness():
-        for x in range(n):
-            sr = srows[x]
-            while sr:
-                y = (sr & -sr).bit_length() - 1
-                bad = erows[y] & ~srows[x]
-                if bad:
-                    return (x, y, (bad & -bad).bit_length() - 1)
-                sr &= sr - 1
-        return None
-
     def weak_witness():
         for x in range(n):
             er = erows[x]
@@ -505,11 +417,11 @@ def check_saturation(s: Relation, e: Relation, mode: str) -> SaturationCheck:
         return None
 
     if mode == "left":
-        w = left_witness()
+        w = _compose_witness(erows, srows, srows, n)
     elif mode == "right":
-        w = right_witness()
+        w = _compose_witness(srows, erows, srows, n)
     elif mode == "full":
-        w = left_witness() or right_witness()
+        w = _compose_witness(erows, srows, srows, n) or _compose_witness(srows, erows, srows, n)
     elif mode == "weak":
         w = weak_witness()
     else:
@@ -541,7 +453,7 @@ def is_E_complete(relation: Relation, equivalence: Relation) -> bool:
 def transitive_closure(relation: Relation) -> Relation:
     """The minimal transitive relation containing R (paths of length >= 1)."""
     closed = closure_rows(relation.rows, relation.n)
-    if not rows_transitive(closed, relation.n):
+    if _transitive_witness(closed, relation.n) is not None:
         raise InvariantViolation("closure-transitive", "closure output is not transitive")
     if any(b & ~a for a, b in zip(closed, relation.rows)):
         raise InvariantViolation("closure-contains-input", "closure output lost pairs")
@@ -560,10 +472,6 @@ def restrict(relation: Relation, labels: Iterable[str]) -> Relation:
                 row |= 1 << new_j
         rows.append(row)
     return Relation(sub, tuple(rows))
-
-
-def is_preorder(relation: Relation) -> bool:
-    return rows_reflexive(relation.rows, relation.n) and rows_transitive(relation.rows, relation.n)
 
 
 def preorder_witness(relation: Relation) -> tuple[str, ...] | None:
@@ -642,32 +550,11 @@ def relation_to_matrix_text(relation: Relation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def relation_to_json(relation: Relation) -> str:
-    return json.dumps(relation.to_json_dict(), sort_keys=True)
-
-
-def relations_equal(r: Relation, s: Relation) -> bool:
-    return r.carrier == s.carrier and r.rows == s.rows
-
-
-def all_relations(carrier: Carrier) -> Iterator[Relation]:
-    """Every relation on the carrier, in lexicographic matrix order.
-
-    Intended for exhaustive sweeps on tiny carriers; guarded by size.
-    """
-    n = carrier.n
+def all_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Every relation on n elements as a row tuple, in lexicographic matrix
+    order: row 0 varies slowest, and in each row column 0 is the most
+    significant bit.  For exhaustive sweeps; capped at n = 4."""
     if n > 4:
         raise TooLarge(f"carrier size {n} exceeds the exhaustive-sweep cap", (str(n),))
-    total_bits = n * n
-    for code in range(1 << total_bits):
-        rows = []
-        for i in range(n):
-            row = 0
-            for j in range(n):
-                # bit (i, j) read row-major from the most significant end so
-                # ascending codes give lexicographic matrix order
-                shift = total_bits - 1 - (i * n + j)
-                if code >> shift & 1:
-                    row |= 1 << j
-            rows.append(row)
-        yield Relation(carrier, tuple(rows))
+    row_values = [int(f"{code:0{n}b}"[::-1], 2) for code in range(1 << n)]
+    return product(row_values, repeat=n)

@@ -33,6 +33,9 @@ from .relations import (
     Relation,
     _is_label_list,
     _neg_transitive_witness,
+    _reflexive_witness,
+    _transitive_witness,
+    all_rows,
     check_properties,
     check_saturation,
     combine,
@@ -509,8 +512,6 @@ def enumerate_preorders(n: int) -> Iterator[Relation]:
     if not 1 <= n <= 4:
         raise TooLarge(f"preorder enumeration supports 1 <= n <= 4, got {n}", (str(n),))
     carrier = Carrier(tuple(f"e{i}" for i in range(n)))
-    from .relations import all_relations, rows_reflexive, rows_transitive
-
-    for relation in all_relations(carrier):
-        if rows_reflexive(relation.rows, n) and rows_transitive(relation.rows, n):
-            yield relation
+    for rows in all_rows(n):
+        if _reflexive_witness(rows, n) is None and _transitive_witness(rows, n) is None:
+            yield Relation(carrier, rows)

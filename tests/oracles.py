@@ -2,9 +2,10 @@
 
 Everything here quantifies explicitly over element labels with plain
 loops, deliberately avoiding the package's bitmask kernels, so the two
-routes can disagree when one of them is wrong.  The exception is the
-enumerated-topology section at the end: the earlier implementation of the
-topology queries, kept as the reference for the neighbourhood model.
+routes can disagree when one of them is wrong.  The exceptions are the
+two sections at the end, each an earlier implementation kept as the
+reference for its replacement: the enumerated topology queries for the
+neighbourhood model, and the bit-probe scans for the witness kernels.
 """
 
 from __future__ import annotations
@@ -478,3 +479,181 @@ def enumerated_projection_check(system: BubbleSystem) -> ProjectionReport:
         connectedness_match=connected_match,
         dense_image=dense_image,
     )
+
+
+# ---------------------------------------------------------------------------
+# bit-probe scans
+
+# The earlier row-level checks, kept as the reference for the word-parallel
+# witness kernels in ``ordbubble.relations``: the eight witness scans, which
+# probe one bit at a time, the boolean predicates of the sweep batteries,
+# and the left, right and weak saturation scans.  All work on row tuples.
+
+def scan_reflexive(rows, n):
+    for i in range(n):
+        if not rows[i] >> i & 1:
+            return (i,)
+    return None
+
+
+def scan_irreflexive(rows, n):
+    for i in range(n):
+        if rows[i] >> i & 1:
+            return (i,)
+    return None
+
+
+def scan_symmetric(rows, n):
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1 and not rows[j] >> i & 1:
+                return (i, j)
+    return None
+
+
+def scan_antisymmetric(rows, n):
+    for i in range(n):
+        for j in range(n):
+            if i != j and rows[i] >> j & 1 and rows[j] >> i & 1:
+                return (i, j)
+    return None
+
+
+def scan_asymmetric(rows, n):
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1 and rows[j] >> i & 1:
+                return (i, j)
+    return None
+
+
+def scan_complete(rows, n):
+    for i in range(n):
+        for j in range(n):
+            if not rows[i] >> j & 1 and not rows[j] >> i & 1:
+                return (i, j)
+    return None
+
+
+def scan_transitive(rows, n):
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1:
+                bad = rows[j] & ~rows[i]
+                if bad:
+                    return (i, j, (bad & -bad).bit_length() - 1)
+    return None
+
+
+def scan_negatively_transitive(rows, n):
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1:
+                continue
+            for k in range(n):
+                if rows[i] >> k & 1 and not rows[j] >> k & 1:
+                    return (i, j, k)
+    return None
+
+
+SCANS = {
+    "reflexive": scan_reflexive,
+    "irreflexive": scan_irreflexive,
+    "symmetric": scan_symmetric,
+    "antisymmetric": scan_antisymmetric,
+    "asymmetric": scan_asymmetric,
+    "complete": scan_complete,
+    "transitive": scan_transitive,
+    "negatively_transitive": scan_negatively_transitive,
+}
+
+
+def _transpose(rows, n):
+    return tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
+
+
+def _compose_subset(a, b, target, n) -> bool:
+    """True when the composition a.b is contained in target."""
+    for i in range(n):
+        acc = 0
+        r = a[i]
+        while r:
+            y = (r & -r).bit_length() - 1
+            acc |= b[y]
+            r &= r - 1
+        if acc & ~target[i]:
+            return False
+    return True
+
+
+def sweep_predicates(rows, n) -> dict[str, bool]:
+    """The sweep batteries' boolean predicates, keyed by flag name."""
+    tr = _transpose(rows, n)
+    full = (1 << n) - 1
+    negtrans = True
+    for i in range(n):
+        r = rows[i]
+        while r:
+            z = (r & -r).bit_length() - 1
+            if rows[i] | tr[z] != full:
+                negtrans = False
+            r &= r - 1
+    return {
+        "reflexive": all(rows[i] >> i & 1 for i in range(n)),
+        "irreflexive": not any(rows[i] >> i & 1 for i in range(n)),
+        "symmetric": rows == tr,
+        "antisymmetric": all(rows[i] & tr[i] & ~(1 << i) == 0 for i in range(n)),
+        "asymmetric": all(rows[i] & tr[i] == 0 for i in range(n)),
+        "complete": all(rows[i] | tr[i] == full for i in range(n)),
+        "transitive": _compose_subset(rows, rows, rows, n),
+        "negatively_transitive": negtrans,
+    }
+
+
+def sweep_saturated(s, e, n) -> bool:
+    """Full saturation of s for e as the sweep batteries computed it."""
+    return _compose_subset(e, s, s, n) and _compose_subset(s, e, s, n)
+
+
+def scan_saturation(srows, erows, n, mode):
+    """Least witness of a saturation failure of s for e, or None."""
+
+    def left():
+        for x in range(n):
+            er = erows[x]
+            while er:
+                y = (er & -er).bit_length() - 1
+                bad = srows[y] & ~srows[x]
+                if bad:
+                    return (x, y, (bad & -bad).bit_length() - 1)
+                er &= er - 1
+        return None
+
+    def right():
+        for x in range(n):
+            sr = srows[x]
+            while sr:
+                y = (sr & -sr).bit_length() - 1
+                bad = erows[y] & ~srows[x]
+                if bad:
+                    return (x, y, (bad & -bad).bit_length() - 1)
+                sr &= sr - 1
+        return None
+
+    def weak():
+        for x in range(n):
+            er = erows[x]
+            while er:
+                y = (er & -er).bit_length() - 1
+                sr = srows[y]
+                while sr:
+                    z = (sr & -sr).bit_length() - 1
+                    if not erows[z] & srows[x]:
+                        return (x, y, z)
+                    sr &= sr - 1
+                er &= er - 1
+        return None
+
+    if mode == "full":
+        return left() or right()
+    return {"left": left, "right": right, "weak": weak}[mode]()

@@ -124,8 +124,10 @@ def test_parse_errors_exit_one(tmp_path):
             ).encode(),
         ),
         ("analyze", b"2\n11\n01\n\xff\n"),
+        ("analyze", b"[" * 100_000 + b"]" * 100_000),
+        ("analyze", b"9" * 5_000),
     ],
-    ids=["unhashable-pair-label", "short-inner-pair", "not-utf8"],
+    ids=["unhashable-pair-label", "short-inner-pair", "not-utf8", "deep-nesting", "long-integer"],
 )
 def test_malformed_input_is_a_parse_error(verb, content, tmp_path):
     path = tmp_path / "bad.in"
