@@ -3,13 +3,15 @@
 The canonical stored form of a quotient is the :class:`Partition`; the
 equivalence matrix is derived on demand.  Block labels are ``B0, B1, ...``
 in order of least member under carrier order, so quotient carriers come out
-deterministic.
+deterministic.  Quotient rows are built from block masks, and an
+equivalence is validated with its three kernels only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -25,9 +27,8 @@ from .errors import (
 from .relations import (
     Carrier,
     Relation,
-    check_properties,
+    _first_violation,
     check_saturation,
-    make_relation,
     transitive_closure,
 )
 
@@ -39,12 +40,9 @@ class EquivalenceRelation:
     underlying: Relation
 
     def __post_init__(self):
-        report = check_properties(self.underlying)
-        for flag in ("reflexive", "symmetric", "transitive"):
-            if not getattr(report, flag):
-                raise NotAnEquivalence(
-                    f"relation is not {flag}", report.witnesses.get(flag, ())
-                )
+        if violation := _first_violation(self.underlying, ("reflexive", "symmetric", "transitive")):
+            flag, witness = violation
+            raise NotAnEquivalence(f"relation is not {flag}", witness)
 
     @property
     def carrier(self) -> Carrier:
@@ -163,15 +161,9 @@ def factor_relation(relation: Relation, equivalence: EquivalenceRelation) -> Quo
     if not sat.holds:
         raise NotSaturated("relation is not saturated for the equivalence", sat.witness)
     partition = classes(equivalence)
-    reps = [block[0] for block in partition.blocks]
-    pairs = [
-        (f"B{i}", f"B{j}")
-        for i, x in enumerate(reps)
-        for j, y in enumerate(reps)
-        if relation.has(x, y)
-    ]
-    quotient = make_relation(Carrier(partition.block_labels), pairs)
-    return QuotientRelation(partition, quotient)
+    masks = partition.block_masks()
+    rows = tuple(_blocks_met(relation.rows[(m & -m).bit_length() - 1], masks) for m in masks)
+    return QuotientRelation(partition, Relation(Carrier(partition.block_labels), rows))
 
 
 def weak_factor_relation(relation: Relation, equivalence: EquivalenceRelation) -> QuotientRelation:
@@ -181,26 +173,25 @@ def weak_factor_relation(relation: Relation, equivalence: EquivalenceRelation) -
         raise CarrierMismatch("relation and equivalence must share a carrier")
     partition = classes(equivalence)
     masks = partition.block_masks()
-    carrier = relation.carrier
-    pairs = []
-    for i, src in enumerate(partition.blocks):
-        rows = [relation.rows[carrier.position(x)] for x in src]
-        for j, mask in enumerate(masks):
-            if all(row & mask for row in rows):
-                pairs.append((f"B{i}", f"B{j}"))
-    quotient = make_relation(Carrier(partition.block_labels), pairs)
-    return QuotientRelation(partition, quotient)
+    position = relation.carrier.position
+    rows = tuple(
+        reduce(and_, [_blocks_met(relation.rows[position(x)], masks) for x in block])
+        for block in partition.blocks
+    )
+    return QuotientRelation(partition, Relation(Carrier(partition.block_labels), rows))
+
+
+def _blocks_met(row: int, masks) -> int:
+    """The mask of the indices j for which ``row`` meets ``masks[j]``."""
+    return sum(1 << j for j, mask in enumerate(masks) if row & mask)
 
 
 def indifference_curves(relation: Relation) -> Partition:
     """Connected components under the transitive closure of an indifference
     (a reflexive and symmetric relation)."""
-    report = check_properties(relation)
-    for flag in ("reflexive", "symmetric"):
-        if not getattr(report, flag):
-            raise NotAnIndifference(
-                f"relation is not {flag}", report.witnesses.get(flag, ())
-            )
+    if violation := _first_violation(relation, ("reflexive", "symmetric")):
+        flag, witness = violation
+        raise NotAnIndifference(f"relation is not {flag}", witness)
     closure = transitive_closure(relation)
     return classes(EquivalenceRelation(closure))
 

@@ -6,6 +6,9 @@ rationals starts 0, 1 and then walks the rationals strictly inside (0, 1)
 in Calkin-Wilf breadth-first order (1/2, 1/3, 2/3, 1/4, 3/5, 2/5, 3/4,
 ...), which is injective and eventually hits every rational of the open
 interval, so embeddings are reproducible bit for bit.
+
+Checks run on row masks: a partial order with its three kernels only, a
+utility against the masks of the positions of greater and of equal value.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     InvariantViolation,
     NotAPartialOrder,
 )
-from .relations import Relation, check_properties, derived_parts, transpose_rows
+from .relations import Relation, _first_violation, _level_masks, combine, derived_parts, transpose_rows
 from .structure import Loset, bubble_decompose
 
 def fusc(k: int) -> int:
@@ -93,13 +96,9 @@ UNIT_ENUMERATION = RationalEnumeration()
 # Szpilrajn extension
 
 def _require_partial_order(relation: Relation) -> None:
-    report = check_properties(relation)
-    for flag in ("reflexive", "antisymmetric", "transitive"):
-        if not getattr(report, flag):
-            raise NotAPartialOrder(
-                f"relation is not a partial order: not {flag}",
-                report.witnesses.get(flag, ()),
-            )
+    if violation := _first_violation(relation, ("reflexive", "antisymmetric", "transitive")):
+        flag, witness = violation
+        raise NotAPartialOrder(f"relation is not a partial order: not {flag}", witness)
 
 
 def szpilrajn_step(relation: Relation, a: str, b: str) -> Relation:
@@ -123,10 +122,8 @@ def szpilrajn_step(relation: Relation, a: str, b: str) -> Relation:
 
 
 def _verify_step(before: Relation, after: Relation, ia: int, ib: int) -> None:
-    report = check_properties(after)
-    for flag in ("reflexive", "antisymmetric", "transitive"):
-        if not getattr(report, flag):
-            raise InvariantViolation("extension-partial-order", f"step output not {flag}")
+    if violation := _first_violation(after, ("reflexive", "antisymmetric", "transitive")):
+        raise InvariantViolation("extension-partial-order", f"step output not {violation[0]}")
     if not after.rows[ia] >> ib & 1:
         raise InvariantViolation("extension-contains-pair", "step output misses the adjoined pair")
     if any(b & ~a for a, b in zip(after.rows, before.rows)):
@@ -227,16 +224,29 @@ def generalized_utility(relation: Relation) -> UtilityAssignment:
     """
     system = bubble_decompose(relation)  # NotAPreorder / NotNegativelyTransitive
     grid = cantor_embed(system.index)
-    values = {x: grid[system.projection[x]] for x in relation.carrier.elements}
-    strict = derived_parts(relation).asymmetric_part
-    glue = derived_parts(strict).incomparability
-    for x in relation.carrier.elements:
-        for y in relation.carrier.elements:
-            if (values[x] < values[y]) != strict.has(x, y):
-                raise InvariantViolation("utility-strict", f"({x!r}, {y!r})")
-            if (values[x] == values[y]) != glue.has(x, y):
-                raise InvariantViolation("utility-level", f"({x!r}, {y!r})")
-    return UtilityAssignment(values=values)
+    elems = relation.carrier.elements
+    values = [grid[system.projection[x]] for x in elems]
+    # bubble_decompose has checked that this is the strict part's incomparability
+    parts = derived_parts(relation)
+    glue = combine(parts.symmetric_part, parts.incomparability, "union")
+    if violation := _utility_violation(values, parts.asymmetric_part.rows, glue.rows):
+        check, i, j = violation
+        raise InvariantViolation(check, f"({elems[i]!r}, {elems[j]!r})")
+    return UtilityAssignment(values=dict(zip(elems, values)))
+
+
+def _utility_violation(values, strict_rows, glue_rows) -> tuple[str, int, int] | None:
+    """The check name and least (x, y) at which a smaller value fails to mean
+    strictly below ("utility-strict") or an equal value fails to mean glued
+    ("utility-level"), or None; ``values`` is per carrier position."""
+    level, above = _level_masks(values)
+    for x, (value, strict_row, glue_row) in enumerate(zip(values, strict_rows, glue_rows)):
+        strict_diff = above[value] ^ strict_row
+        diff = strict_diff | (level[value] ^ glue_row)
+        if diff:
+            y = (diff & -diff).bit_length() - 1
+            return ("utility-strict" if strict_diff >> y & 1 else "utility-level", x, y)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,18 @@ def _least_pair(masks: Iterable[int]) -> tuple[int, int] | None:
     return None
 
 
+def _level_masks(keys) -> tuple[dict, dict]:
+    """Map each distinct per-position key to the mask of positions holding
+    it, and to the mask of positions holding a greater key."""
+    level: dict = {}
+    for i, key in enumerate(keys):
+        level[key] = level.get(key, 0) | 1 << i
+    above, acc = {}, 0
+    for key in sorted(level, reverse=True):
+        above[key], acc = acc, acc | level[key]
+    return level, above
+
+
 def _reflexive_witness(rows, n):
     for i in range(n):
         if not rows[i] >> i & 1:
@@ -362,24 +374,48 @@ def derived_parts(relation: Relation) -> DerivedParts:
     return DerivedParts(Relation(c, sym), Relation(c, asym), Relation(c, comp), Relation(c, incomp))
 
 
+# Every kernel under one signature.  Each lambda looks its kernel up when called,
+# so a kernel rebound on this module, by a test or a tracer, is the one that runs.
+_KERNELS = {
+    "reflexive": lambda rows, tr, n: _reflexive_witness(rows, n),
+    "irreflexive": lambda rows, tr, n: _irreflexive_witness(rows, n),
+    "symmetric": lambda rows, tr, n: _symmetric_witness(rows, tr, n),
+    "antisymmetric": lambda rows, tr, n: _antisymmetric_witness(rows, tr, n),
+    "asymmetric": lambda rows, tr, n: _asymmetric_witness(rows, tr, n),
+    "complete": lambda rows, tr, n: _complete_witness(rows, tr, n),
+    "transitive": lambda rows, tr, n: _transitive_witness(rows, n),
+    "negatively_transitive": lambda rows, tr, n: _neg_transitive_witness(rows, n),
+}
+_NEEDS_TRANSPOSE = frozenset({"symmetric", "antisymmetric", "asymmetric", "complete"})
+
+
+def _witnesses(relation: Relation, flags: Iterable[str]) -> Iterator[tuple[str, tuple | None]]:
+    """(flag, least witness as indices or None) for each named flag in order;
+    the transpose is computed when the first flag that needs it comes up."""
+    rows, n = relation.rows, relation.n
+    tr = None
+    for flag in flags:
+        if tr is None and flag in _NEEDS_TRANSPOSE:
+            tr = transpose_rows(rows, n)
+        yield flag, _KERNELS[flag](rows, tr, n)
+
+
+def _first_violation(relation: Relation, flags: Iterable[str]) -> tuple[str, tuple[str, ...]] | None:
+    """The first of ``flags`` that fails and its least witness as labels, or
+    None when all hold.  Runs only the kernels up to the first failure."""
+    for flag, w in _witnesses(relation, flags):
+        if w is not None:
+            return flag, tuple(relation.carrier.elements[i] for i in w)
+    return None
+
+
 def check_properties(relation: Relation) -> PropertyReport:
     """Evaluate the predicate battery with the witness kernels.
 
     Every false flag is accompanied by the least violating tuple under
     carrier order.
     """
-    rows, n = relation.rows, relation.n
-    tr = transpose_rows(rows, n)
-    found = {
-        "reflexive": _reflexive_witness(rows, n),
-        "irreflexive": _irreflexive_witness(rows, n),
-        "symmetric": _symmetric_witness(rows, tr, n),
-        "antisymmetric": _antisymmetric_witness(rows, tr, n),
-        "asymmetric": _asymmetric_witness(rows, tr, n),
-        "complete": _complete_witness(rows, tr, n),
-        "transitive": _transitive_witness(rows, n),
-        "negatively_transitive": _neg_transitive_witness(rows, n),
-    }
+    found = dict(_witnesses(relation, _FLAG_NAMES))
     elems = relation.carrier.elements
     witnesses = {name: tuple(elems[i] for i in w) for name, w in found.items() if w is not None}
     return PropertyReport(witnesses=witnesses, **{name: w is None for name, w in found.items()})

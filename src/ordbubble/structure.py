@@ -9,6 +9,10 @@ This module implements both directions, verifies the characterising
 conclusions at runtime rather than trusting them, and provides the general
 coproduct of preordered summands over a partially ordered index of which
 the bubble case is a specialization.
+
+Construction and verification run on row and block masks, with no
+per-pair label lookups, and each fact is checked once (the strict part's
+saturation, for one, by ``factor_relation`` alone).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .errors import (
     InvariantViolation,
     NotAPreorder,
     NotNegativelyTransitive,
+    NotSaturated,
     PairInvalid,
     ParseError,
     TooLarge,
@@ -31,12 +36,13 @@ from .factor import EquivalenceRelation, Partition, classes, factor_relation, we
 from .relations import (
     Carrier,
     Relation,
+    _first_violation,
     _is_label_list,
+    _level_masks,
     _neg_transitive_witness,
     _reflexive_witness,
     _transitive_witness,
     all_rows,
-    check_properties,
     check_saturation,
     combine,
     derived_parts,
@@ -84,16 +90,10 @@ class Loset:
         return self.sorted_labels()[-1]
 
     def relation(self) -> Relation:
-        """The induced reflexive linear order as a relation."""
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = 1 << i
-            for j in range(n):
-                if self.ranks[i] < self.ranks[j]:
-                    row |= 1 << j
-            rows.append(row)
-        return Relation(self.carrier, tuple(rows))
+        """The induced reflexive linear order as a relation: row i is the
+        mask of the elements of rank at least i's."""
+        level, above = _level_masks(self.ranks)
+        return Relation(self.carrier, tuple(level[r] | above[r] for r in self.ranks))
 
     @classmethod
     def chain(cls, labels: Iterable[str]) -> "Loset":
@@ -102,16 +102,10 @@ class Loset:
 
     @classmethod
     def from_relation(cls, relation: Relation) -> "Loset":
-        report = check_properties(relation)
-        for flag in ("reflexive", "antisymmetric", "transitive", "complete"):
-            if not getattr(report, flag):
-                raise ValidationError(
-                    f"relation is not a linear order: not {flag}",
-                    report.witnesses.get(flag, ()),
-                )
-        n = relation.n
-        ranks = tuple(n - relation.rows[i].bit_count() for i in range(n))
-        return cls(relation.carrier, ranks)
+        if violation := _first_violation(relation, ("reflexive", "antisymmetric", "transitive", "complete")):
+            flag, witness = violation
+            raise ValidationError(f"relation is not a linear order: not {flag}", witness)
+        return cls(relation.carrier, tuple(relation.n - row.bit_count() for row in relation.rows))
 
 
 @dataclass(frozen=True)
@@ -128,11 +122,9 @@ class PreorderSplit:
             raise ValidationError("split components must share a carrier")
         if any(a & b for a, b in zip(e.rows, f.rows)):
             raise ValidationError("equivalence and strict part must be disjoint")
-        report = check_properties(f)
-        if not report.asymmetric:
-            raise ValidationError("strict part must be asymmetric", report.witnesses.get("asymmetric", ()))
-        if not report.transitive:
-            raise ValidationError("strict part must be transitive", report.witnesses.get("transitive", ()))
+        if violation := _first_violation(f, ("asymmetric", "transitive")):
+            flag, witness = violation
+            raise ValidationError(f"strict part must be {flag}", witness)
         sat = check_saturation(f, e, "full")
         if not sat.holds:
             raise ValidationError("strict part must be saturated for the equivalence", sat.witness or ())
@@ -297,11 +289,9 @@ def join_pair(equivalence: EquivalenceRelation, strict: Relation) -> Relation:
     e = equivalence.underlying
     if e.carrier != strict.carrier:
         raise PairInvalid("components must share a carrier")
-    report = check_properties(strict)
-    if not report.asymmetric:
-        raise PairInvalid("strict part is not asymmetric", report.witnesses.get("asymmetric", ()))
-    if not report.transitive:
-        raise PairInvalid("strict part is not transitive", report.witnesses.get("transitive", ()))
+    if violation := _first_violation(strict, ("asymmetric", "transitive")):
+        flag, witness = violation
+        raise PairInvalid(f"strict part is not {flag}", witness)
     if any(a & b for a, b in zip(e.rows, strict.rows)):
         shared = next(
             (x, y)
@@ -336,10 +326,8 @@ def coproduct_preorder(
     agree and x is below y inside the summand.  Returns the relation and
     the projection element -> index label.
     """
-    report = check_properties(index_order)
-    for flag in ("reflexive", "antisymmetric", "transitive"):
-        if not getattr(report, flag):
-            raise ValidationError(f"index must be a partial order: not {flag}")
+    if violation := _first_violation(index_order, ("reflexive", "antisymmetric", "transitive")):
+        raise ValidationError(f"index must be a partial order: not {violation[0]}")
     if set(summands) != set(index_order.carrier.elements):
         raise ValidationError("summands must be indexed by exactly the index labels")
     projection: dict[str, str] = {}
@@ -358,21 +346,30 @@ def coproduct_preorder(
     elif set(carrier.elements) != set(projection):
         raise ValidationError("carrier must list exactly the summand elements")
 
+    labels = index_order.carrier.elements
+    block, _ = _level_masks(projection[x] for x in carrier.elements)
+    block_masks = [block[label] for label in labels]
     strict_index = derived_parts(index_order).asymmetric_part
-    rows = []
-    for x in carrier.elements:
-        row = 0
-        part_x = summands[projection[x]]
-        for j, y in enumerate(carrier.elements):
-            if projection[x] == projection[y]:
-                if part_x.has(x, y):
-                    row |= 1 << j
-            elif strict_index.has(projection[x], projection[y]):
-                row |= 1 << j
-        rows.append(row)
+    rows = [0] * carrier.n
+    for label, higher in zip(labels, strict_index.rows):
+        higher_blocks = _union_of(higher, block_masks)
+        part = summands[label]
+        where = [1 << carrier.position(x) for x in part.carrier.elements]
+        for bit, inner in zip(where, part.rows):
+            rows[bit.bit_length() - 1] = higher_blocks | _union_of(inner, where)
     relation = Relation(carrier, tuple(rows))
     _require_preorder(relation)
     return relation, projection
+
+
+def _union_of(mask: int, masks) -> int:
+    """The union of ``masks[j]`` over the set bits j of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +387,9 @@ def bubble_decompose(relation: Relation) -> BubbleSystem:
     _require_preorder(relation)
     parts = derived_parts(relation)
     strict = parts.asymmetric_part
-    witness_idx = _neg_transitive_witness(strict.rows, strict.n)
-    if witness_idx is not None:
-        elems = relation.carrier.elements
-        raise NotNegativelyTransitive(
-            "strict part is not negatively transitive",
-            tuple(elems[i] for i in witness_idx),
-        )
+    if (w := _neg_transitive_witness(strict.rows, strict.n)) is not None:
+        witness = tuple(relation.carrier.elements[i] for i in w)
+        raise NotNegativelyTransitive("strict part is not negatively transitive", witness)
     glue = derived_parts(strict).incomparability
     expected = combine(parts.symmetric_part, parts.incomparability, "union")
     if glue != expected:
@@ -408,22 +401,17 @@ def bubble_decompose(relation: Relation) -> BubbleSystem:
         glue_eq = EquivalenceRelation(glue)
     except ValidationError as exc:  # pragma: no cover - theorem guarantees this
         raise InvariantViolation("bubble-glue-equivalence", str(exc)) from exc
-    if not check_saturation(strict, glue, "full").holds:
-        raise InvariantViolation("bubble-strict-saturated", "strict part must be glue-saturated")
-
+    try:
+        strict_quotient = factor_relation(strict, glue_eq)
+    except NotSaturated as exc:
+        raise InvariantViolation("bubble-strict-saturated", "strict part must be glue-saturated") from exc
     quotient = weak_factor_relation(relation, glue_eq)
-    strict_quotient = factor_relation(strict, glue_eq)
     n_blocks = len(quotient.partition.blocks)
-    rebuilt = combine(
-        Relation(quotient.relation.carrier, diagonal_rows(n_blocks)),
-        strict_quotient.relation,
-        "union",
-    )
+    diagonal = Relation(quotient.relation.carrier, diagonal_rows(n_blocks))
+    rebuilt = combine(diagonal, strict_quotient.relation, "union")
     if rebuilt != quotient.relation:
         raise InvariantViolation("factor-order-shape", "quotient must be diagonal plus strict factor")
-    if any(
-        strict_quotient.relation.rows[i] >> i & 1 for i in range(n_blocks)
-    ):
+    if any(strict_quotient.relation.rows[i] >> i & 1 for i in range(n_blocks)):
         raise InvariantViolation("factor-order-shape", "strict factor must be irreflexive")
     try:
         index = Loset.from_relation(quotient.relation)
@@ -466,15 +454,28 @@ def bubble_compose(system: BubbleSystem) -> Relation:
     strict = parts.asymmetric_part
     if _neg_transitive_witness(strict.rows, strict.n) is not None:
         raise InvariantViolation("strict-part-negatively-transitive", "composed strict part must be negatively transitive")
-    glue = derived_parts(strict).incomparability
-    if glue != system.partition_equivalence().underlying:
+    # the strict part's incomparability: the symmetric part and the incomparability
+    glue = combine(parts.symmetric_part, parts.incomparability, "union")
+    elems = system.carrier.elements
+    bubble, _ = _level_masks(projection[x] for x in elems)
+    if glue.rows != tuple(bubble[projection[x]] for x in elems):
         raise InvariantViolation("composed-glue-partition", "incomparability classes must be the bubbles")
-    rank = {x: system.index.rank_of(projection[x]) for x in system.carrier.elements}
-    for x in system.carrier.elements:
-        for y in system.carrier.elements:
-            if strict.has(x, y) != (rank[x] < rank[y]):
-                raise InvariantViolation("strict-matches-index", f"({x!r}, {y!r})")
+    ranks = [system.index.rank_of(projection[x]) for x in elems]
+    if pair := _index_violation(strict.rows, ranks):
+        x, y = (elems[i] for i in pair)
+        raise InvariantViolation("strict-matches-index", f"({x!r}, {y!r})")
     return relation
+
+
+def _index_violation(strict_rows, ranks) -> tuple[int, int] | None:
+    """The least (x, y) at which ``strict_rows`` disagrees with "the rank of
+    x is below the rank of y", or None; ``ranks`` is per carrier position."""
+    _, above = _level_masks(ranks)
+    for x, (row, r) in enumerate(zip(strict_rows, ranks)):
+        diff = row ^ above[r]
+        if diff:
+            return x, (diff & -diff).bit_length() - 1
+    return None
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Everything here quantifies explicitly over element labels with plain
 loops, deliberately avoiding the package's bitmask kernels, so the two
 routes can disagree when one of them is wrong.  The exceptions are the
-two sections at the end, each an earlier implementation kept as the
+three sections at the end, each an earlier implementation kept as the
 reference for its replacement: the enumerated topology queries for the
-neighbourhood model, and the bit-probe scans for the witness kernels.
+neighbourhood model, the bit-probe scans for the witness kernels, and the
+label-level loops of the bubble pipeline for its row-mask versions.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from ordbubble import Carrier, EquivalenceRelation, Relation, make_relation
+from ordbubble import Carrier, EquivalenceRelation, Relation, classes, derived_parts, make_relation
 from ordbubble.errors import NotOpen, TooLarge, UnknownLabel, ValidationError
 from ordbubble.structure import Bubble, BubbleSystem, Loset, bubble_compose
 from ordbubble.topology import (
@@ -657,3 +658,132 @@ def scan_saturation(srows, erows, n, mode):
     if mode == "full":
         return left() or right()
     return {"left": left, "right": right, "weak": weak}[mode]()
+
+
+# ---------------------------------------------------------------------------
+# label-level bubble pipeline
+
+# The earlier loops of the bubble pipeline, which probe one pair of labels
+# at a time with ``Relation.has``, kept as the reference for the row- and
+# block-mask versions: ``Loset.relation``, the quotient rows of
+# ``factor_relation`` and ``weak_factor_relation``, the ``coproduct_preorder``
+# rows, the utility check and the ``strict-matches-index`` check.  The
+# decomposition is rebuilt from its definitions.
+
+def label_loset_relation(order: Loset) -> Relation:
+    n = order.n
+    rows = []
+    for i in range(n):
+        row = 1 << i
+        for j in range(n):
+            if order.ranks[i] < order.ranks[j]:
+                row |= 1 << j
+        rows.append(row)
+    return Relation(order.carrier, tuple(rows))
+
+
+def label_factor_relation(relation: Relation, equivalence: EquivalenceRelation) -> Relation:
+    """Blocks related when their least members are (saturation unchecked)."""
+    partition = classes(equivalence)
+    reps = [block[0] for block in partition.blocks]
+    pairs = [
+        (f"B{i}", f"B{j}")
+        for i, x in enumerate(reps)
+        for j, y in enumerate(reps)
+        if relation.has(x, y)
+    ]
+    return make_relation(Carrier(partition.block_labels), pairs)
+
+
+def label_weak_factor_relation(relation: Relation, equivalence: EquivalenceRelation) -> Relation:
+    """Block X reaches block Y when every member of X reaches one of Y."""
+    partition = classes(equivalence)
+    pairs = [
+        (f"B{i}", f"B{j}")
+        for i, src in enumerate(partition.blocks)
+        for j, dst in enumerate(partition.blocks)
+        if all(any(relation.has(x, y) for y in dst) for x in src)
+    ]
+    return make_relation(Carrier(partition.block_labels), pairs)
+
+
+def label_coproduct_rows(index_order: Relation, summands, carrier: Carrier, projection) -> tuple[int, ...]:
+    strict_index = derived_parts(index_order).asymmetric_part
+    rows = []
+    for x in carrier.elements:
+        row = 0
+        part_x = summands[projection[x]]
+        for j, y in enumerate(carrier.elements):
+            if projection[x] == projection[y]:
+                if part_x.has(x, y):
+                    row |= 1 << j
+            elif strict_index.has(projection[x], projection[y]):
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
+def label_bubble_compose(system: BubbleSystem) -> Relation:
+    labels = system.index.sorted_labels()
+    summands = {label: bubble.inner.underlying for label, bubble in zip(labels, system.bubbles)}
+    index_order = label_loset_relation(system.index)
+    rows = label_coproduct_rows(index_order, summands, system.carrier, system.projection)
+    return Relation(system.carrier, rows)
+
+
+def label_bubble_decompose(relation: Relation) -> dict:
+    """The JSON form of the bubble system of a decomposable preorder: the
+    bubbles are the classes of strict-part incomparability, labelled B0, B1,
+    ... by least member and listed from the strict bottom up, each with the
+    symmetric part as its inner equivalence."""
+    elems = relation.carrier.elements
+
+    def strict(x, y):
+        return relation.has(x, y) and not relation.has(y, x)
+
+    blocks = []
+    for x in elems:
+        if not any(x in block for block in blocks):
+            blocks.append([y for y in elems if not strict(x, y) and not strict(y, x)])
+    order = sorted(
+        range(len(blocks)), key=lambda i: sum(strict(b[0], blocks[i][0]) for b in blocks)
+    )
+    return {
+        "index": [f"B{i}" for i in order],
+        "bubbles": [
+            {
+                "label": f"B{i}",
+                "elements": blocks[i],
+                "inner_pairs": [
+                    [x, y]
+                    for x in blocks[i]
+                    for y in blocks[i]
+                    if relation.has(x, y) and relation.has(y, x)
+                ],
+            }
+            for i in order
+        ],
+    }
+
+
+def label_utility_check(relation: Relation, values) -> tuple[str, tuple[str, str]] | None:
+    """The check name and the first (x, y) at which a smaller value is not
+    strictly below or an equal value is not glued; None when none is."""
+    strict = derived_parts(relation).asymmetric_part
+    glue = derived_parts(strict).incomparability
+    for x in relation.carrier.elements:
+        for y in relation.carrier.elements:
+            if (values[x] < values[y]) != strict.has(x, y):
+                return "utility-strict", (x, y)
+            if (values[x] == values[y]) != glue.has(x, y):
+                return "utility-level", (x, y)
+    return None
+
+
+def label_index_check(strict: Relation, rank) -> tuple[str, str] | None:
+    """The first (x, y) at which strictly below disagrees with a lower rank."""
+    for x in strict.carrier.elements:
+        for y in strict.carrier.elements:
+            if strict.has(x, y) != (rank[x] < rank[y]):
+                return (x, y)
+    return None
