@@ -2,14 +2,16 @@
 
 A finite topology is stored as its n minimal neighbourhoods, one bitmask
 per point; its open sets are exactly their unions (Alexandrov), so every
-query here works on the masks.  Only listing the open sets enumerates
-them, and that listing is capped at 16 elements.  Empty intervals stay in
-listings (flagged) because gap detection is defined by their emptiness.
+query here works on the masks.  The interval topology is generated by its
+2n rays, since a bounded interval (a, b) is the right ray of a met with the
+left ray of b.  Only listing the open sets enumerates them, and that
+listing is capped at 16 elements.  Empty intervals stay in listings
+(flagged) because gap detection is defined by their emptiness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -91,11 +93,15 @@ class FiniteTopology:
 
     @cached_property
     def opens(self) -> frozenset[int]:
-        """Every open set as a bitmask, enumerated on first use."""
+        """Every open set as a bitmask, enumerated on first use as the
+        unions of the distinct neighbourhoods."""
         n = self.carrier.n
         if n > _LISTING_CAP:
             raise TooLarge(f"listing open sets capped at {_LISTING_CAP} elements, got {n}")
-        return frozenset(m for m in range(1 << n) if self._is_open_mask(m))
+        found = {0}
+        for hood in set(self.neighbourhoods):
+            found |= {m | hood for m in found}
+        return frozenset(found)
 
     def sorted_opens(self) -> list[tuple[str, ...]]:
         """Opens ordered by size then lexicographically by label list."""
@@ -155,77 +161,79 @@ class ProjectionReport:
     dense_image: bool
 
     def all_pass(self) -> bool:
-        return all(
-            (
-                self.extent_bijection,
-                self.extents_form_base,
-                self.continuous_and_open,
-                self.preimage_topology,
-                self.connectedness_match,
-                self.dense_image,
-            )
-        )
+        return all(astuple(self))
 
 
 # ---------------------------------------------------------------------------
 # intervals
 
+def _strict_rows_cols(relation: Relation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The strict part's rows and columns: row a is the right ray (a,->),
+    column b the left ray (<-,b)."""
+    _require_preorder(relation)
+    rows = derived_parts(relation).asymmetric_part.rows
+    return rows, transpose_rows(rows, relation.carrier.n)
+
+
 def open_intervals(relation: Relation) -> list[Interval]:
     """All open intervals of the strict part: bounded ones over strictly
     related pairs, then the two rays of every element.  Intervals with an
     empty extent are retained and flagged via ``Interval.empty``."""
-    _require_preorder(relation)
-    strict = derived_parts(relation).asymmetric_part
-    n = strict.n
+    rows, cols = _strict_rows_cols(relation)
     elems = relation.carrier.elements
-    rows = strict.rows
-    cols = transpose_rows(rows, n)
 
     def labels(mask: int) -> frozenset[str]:
-        return frozenset(elems[j] for j in range(n) if mask >> j & 1)
+        return frozenset(elems[j] for j in _bits(mask))
 
-    out: list[Interval] = []
-    for i in range(n):
-        for j in range(n):
-            if rows[i] >> j & 1:
-                out.append(Interval("bounded", elems[i], elems[j], labels(rows[i] & cols[j])))
-    for i in range(n):
-        out.append(Interval("left_ray", None, elems[i], labels(cols[i])))
-        out.append(Interval("right_ray", elems[i], None, labels(rows[i])))
+    out = [
+        Interval("bounded", elems[i], elems[j], labels(row & cols[j]))
+        for i, row in enumerate(rows)
+        for j in _bits(row)
+    ]
+    for i, x in enumerate(elems):
+        out.append(Interval("left_ray", None, x, labels(cols[i])))
+        out.append(Interval("right_ray", x, None, labels(rows[i])))
     return out
 
 
-def unique_extents(intervals: Iterable[Interval]) -> list[frozenset[str]]:
-    """Distinct interval extents in first-seen order."""
-    seen: list[frozenset[str]] = []
-    for interval in intervals:
-        if interval.extent not in seen:
-            seen.append(interval.extent)
-    return seen
+def _interval_space(relation: Relation) -> tuple[FiniteTopology, set[int]]:
+    """The interval topology and its nonempty extents as masks: every ray,
+    and each bounded (a, b) as rows[a] & cols[b]."""
+    rows, cols = _strict_rows_cols(relation)
+    extents = {row & cols[j] for row in rows for j in _bits(row)}
+    extents.update(rows, cols)
+    extents.discard(0)
+    return _generate(relation.carrier, [*rows, *cols]), extents
+
+
+def _generate(carrier: Carrier, subbase: Sequence[int]) -> FiniteTopology:
+    """The topology generated by the subbase masks.  The neighbourhood of a
+    point is the intersection of the subbase masks through it, or the whole
+    carrier when none passes through it; every mask is verified open."""
+    hoods = [(1 << carrier.n) - 1] * carrier.n
+    for mask in subbase:
+        for i in _bits(mask):
+            hoods[i] &= mask
+    topology = FiniteTopology(carrier, tuple(hoods))
+    for mask in subbase:
+        if not topology._is_open_mask(mask):
+            raise ValidationError("subbase extent escaped its own topology")
+    return topology
 
 
 def generate_topology(carrier: Carrier, subbase: Sequence[Interval]) -> FiniteTopology:
     """The topology generated by the subbase.  The neighbourhood of a point
     is the intersection of the subbase extents through it, or the whole
     carrier when none passes through it."""
-    hoods = [(1 << carrier.n) - 1] * carrier.n
-    masks = []
-    for interval in subbase:
-        mask = 0
-        for x in interval.extent:
-            mask |= 1 << carrier.position(x)
-        masks.append(mask)
-        for i in _bits(mask):
-            hoods[i] &= mask
-    topology = FiniteTopology(carrier, tuple(hoods))
-    for mask in masks:
-        if not topology._is_open_mask(mask):
-            raise ValidationError("subbase extent escaped its own topology")
-    return topology
+    return _generate(
+        carrier, [sum({1 << carrier.position(x) for x in interval.extent}) for interval in subbase]
+    )
 
 
 def interval_topology(relation: Relation) -> FiniteTopology:
-    return generate_topology(relation.carrier, open_intervals(relation))
+    """The topology generated by the open intervals, from the 2n rays."""
+    rows, cols = _strict_rows_cols(relation)
+    return _generate(relation.carrier, [*rows, *cols])
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +284,11 @@ def connectivity_report(topology: FiniteTopology) -> ConnectivityReport:
 def gaps(relation: Relation) -> list[tuple[str, str]]:
     """Strictly related pairs whose open interval is empty, in carrier
     order."""
-    _require_preorder(relation)
-    strict = derived_parts(relation).asymmetric_part
-    n = strict.n
-    rows = strict.rows
-    cols = transpose_rows(rows, n)
+    rows, cols = _strict_rows_cols(relation)
     elems = relation.carrier.elements
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if rows[i] >> j & 1 and not rows[i] & cols[j]:
-                out.append((elems[i], elems[j]))
-    return out
+    return [
+        (elems[i], elems[j]) for i, row in enumerate(rows) for j in _bits(row) if not row & cols[j]
+    ]
 
 
 def order_completeness_report(order: Loset) -> CompletenessReport:
@@ -333,10 +334,8 @@ def _finite_subcover_exists(topology: FiniteTopology) -> bool:
     """Extract a subcover of size <= n from the cover by all opens: the
     least open through each point is its neighbourhood.  Any open cover of
     a finite space admits one by the same point-wise pick."""
-    acc = 0
-    for mask in topology.neighbourhoods:
-        acc |= mask
-    return acc == (1 << topology.carrier.n) - 1
+    full = (1 << topology.carrier.n) - 1
+    return _union(topology.neighbourhoods, full) == full
 
 
 def continuity_check(
@@ -350,19 +349,35 @@ def continuity_check(
     the least failing target open is the least U_f(x) over the x where it
     does not.
     """
+    image_of = []
     for x in source.carrier.elements:
         if x not in mapping:
             raise ValidationError(f"map is not total: {x!r} has no image", (x,))
         if mapping[x] not in target.carrier:
             raise UnknownLabel(f"image {mapping[x]!r} not in target carrier", (x,))
-    failing = []
-    for x, hood in zip(source.carrier.elements, source.neighbourhoods):
-        image = target.mask_of(mapping[y] for y in source.labels_of(hood))
-        target_hood = target.neighbourhoods[target.carrier.position(mapping[x])]
-        if image & ~target_hood:
-            failing.append(target_hood)
-    witness = _least(target, failing)
+        image_of.append(1 << target.carrier.position(mapping[x]))
+    witness = _least(target, _discontinuities(image_of, source, target))
     return CheckOutcome(witness is None, witness)
+
+
+def _union(masks: Sequence[int], selected: int) -> int:
+    """The union of masks[i] over the bits i of ``selected``.  A map is the
+    list ``image_of`` of one-bit images of the source points; the image of a
+    set is its union over them, the preimage its union over their transpose."""
+    union = 0
+    for i in _bits(selected):
+        union |= masks[i]
+    return union
+
+
+def _discontinuities(image_of: Sequence[int], source: FiniteTopology, target: FiniteTopology) -> list[int]:
+    """The U_f(x) that U_x is not sent into."""
+    failing = []
+    for hood, point in zip(source.neighbourhoods, image_of):
+        target_hood = _union(target.neighbourhoods, point)
+        if _union(image_of, hood) & ~target_hood:
+            failing.append(target_hood)
+    return failing
 
 
 # ---------------------------------------------------------------------------
@@ -376,28 +391,16 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
     onto a dense subset."""
     system.validate()
     relation = bubble_compose(system)
-    projection = system.projection
-    index_relation = system.index.relation()
+    top_a, extents_a = _interval_space(relation)
+    top_i, extents_i = _interval_space(system.index.relation())
 
-    intervals_a = open_intervals(relation)
-    intervals_i = open_intervals(index_relation)
-    top_a = generate_topology(relation.carrier, intervals_a)
-    top_i = generate_topology(index_relation.carrier, intervals_i)
-
-    extents_a = {e for e in unique_extents(intervals_a) if e}
-    extents_i = {e for e in unique_extents(intervals_i) if e}
-
-    def project(subset: frozenset[str]) -> frozenset[str]:
-        return frozenset(projection[x] for x in subset)
-
-    def pull_back(subset: frozenset[str]) -> frozenset[str]:
-        return frozenset(x for x in system.carrier.elements if projection[x] in subset)
-
+    image_of = [1 << top_i.carrier.position(system.projection[x]) for x in relation.carrier.elements]
+    preimage_of = transpose_rows(image_of, top_i.carrier.n)
     bijection = (
-        {project(e) for e in extents_a} == extents_i
-        and {pull_back(k) for k in extents_i} == extents_a
-        and all(pull_back(project(e)) == e for e in extents_a)
-        and all(project(pull_back(k)) == k for k in extents_i)
+        {_union(image_of, e) for e in extents_a} == extents_i
+        and {_union(preimage_of, k) for k in extents_i} == extents_a
+        and all(_union(preimage_of, _union(image_of, e)) == e for e in extents_a)
+        and all(_union(image_of, _union(preimage_of, k)) == k for k in extents_i)
     )
 
     if system.index.n == 1:
@@ -406,18 +409,20 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
         full = (1 << system.carrier.n) - 1
         base = all(hood == full for hood in top_a.neighbourhoods)
     else:
-        base = is_base(sorted(extents_a, key=sorted), top_a).holds
+        # every extent is open, and a base is one holding every neighbourhood
+        base = set(top_a.neighbourhoods) <= extents_a
 
-    continuous = continuity_check(projection, top_a, top_i).holds
-    open_map = _is_open_map(projection, top_a, top_i)
-    preimage_topology = _is_preimage_topology(projection, top_a, top_i)
+    continuous = not _discontinuities(image_of, top_a, top_i)
+    open_map = _is_open_map(image_of, top_a, top_i)
+    preimage_topology = _is_preimage_topology(image_of, top_a, top_i)
 
     connected_match = (
         connectivity_report(top_a).connected == connectivity_report(top_i).connected
     )
 
-    dense = _minimal_dense_subset(top_a)
-    dense_image = _is_dense(top_i, {projection[x] for x in dense})
+    # a dense set meets every nonempty open, that is, every minimal one
+    projected = _union(image_of, _minimal_dense_subset(top_a))
+    dense_image = all(projected & hood for hood in _minimal_opens(top_i))
 
     return ProjectionReport(
         extent_bijection=bijection,
@@ -429,38 +434,26 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
     )
 
 
-def _is_open_map(mapping: Mapping[str, str], source: FiniteTopology, target: FiniteTopology) -> bool:
+def _is_open_map(image_of: Sequence[int], source: FiniteTopology, target: FiniteTopology) -> bool:
     """Every open, so every neighbourhood, goes onto an open."""
+    return all(target._is_open_mask(_union(image_of, hood)) for hood in source.neighbourhoods)
+
+
+def _is_preimage_topology(image_of: Sequence[int], source: FiniteTopology, target: FiniteTopology) -> bool:
+    """The opens of the source are the preimages of the target's: each U_x
+    is the preimage of U_f(x)."""
+    preimage_of = transpose_rows(image_of, target.carrier.n)
     return all(
-        target.is_open(mapping[y] for y in source.labels_of(hood)) for hood in source.neighbourhoods
+        hood == _union(preimage_of, _union(target.neighbourhoods, point))
+        for hood, point in zip(source.neighbourhoods, image_of)
     )
 
 
-def _is_preimage_topology(
-    mapping: Mapping[str, str], source: FiniteTopology, target: FiniteTopology
-) -> bool:
-    """The opens of the source are the preimages of the target's: each U_x
-    is the preimage of U_f(x)."""
-    elems = source.carrier.elements
-    for x, hood in zip(elems, source.neighbourhoods):
-        image_hood = target.neighbourhoods[target.carrier.position(mapping[x])]
-        members = set(target.labels_of(image_hood))
-        if hood != source.mask_of(y for y in elems if mapping[y] in members):
-            return False
-    return True
-
-
-def _is_dense(topology: FiniteTopology, subset: Iterable[str]) -> bool:
-    """Meets every nonempty open, that is, every minimal one."""
-    mask = topology.mask_of(subset)
-    return all(mask & hood for hood in _minimal_opens(topology))
-
-
-def _minimal_dense_subset(topology: FiniteTopology) -> set[str]:
-    """A deterministic inclusion-minimal dense subset: the least element of
-    every minimal nonempty open.  These opens are pairwise disjoint, so no
-    pick can be dropped."""
-    return {
-        topology.carrier.elements[(hood & -hood).bit_length() - 1]
-        for hood in _minimal_opens(topology)
-    }
+def _minimal_dense_subset(topology: FiniteTopology) -> int:
+    """A deterministic inclusion-minimal dense subset, as a mask: the least
+    element of every minimal nonempty open.  These opens are pairwise
+    disjoint, so no pick can be dropped."""
+    dense = 0
+    for hood in _minimal_opens(topology):
+        dense |= hood & -hood
+    return dense

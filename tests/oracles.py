@@ -3,26 +3,40 @@
 Everything here quantifies explicitly over element labels with plain
 loops, deliberately avoiding the package's bitmask kernels, so the two
 routes can disagree when one of them is wrong.  The exceptions are the
-three sections at the end, each an earlier implementation kept as the
+four sections at the end, each an earlier implementation kept as the
 reference for its replacement: the enumerated topology queries for the
-neighbourhood model, the bit-probe scans for the witness kernels, and the
-label-level loops of the bubble pipeline for its row-mask versions.
+neighbourhood model, the label-set projection check for its mask version,
+the bit-probe scans for the witness kernels, and the label-level loops of
+the bubble pipeline for its row-mask versions.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import product
 
 from ordbubble import Carrier, EquivalenceRelation, Relation, classes, derived_parts, make_relation
-from ordbubble.errors import NotOpen, TooLarge, UnknownLabel, ValidationError
-from ordbubble.structure import Bubble, BubbleSystem, Loset, bubble_compose
+from ordbubble.errors import NotNegativelyTransitive, NotOpen, TooLarge, UnknownLabel, ValidationError
+from ordbubble.structure import (
+    Bubble,
+    BubbleSystem,
+    Loset,
+    bubble_compose,
+    bubble_decompose,
+    enumerate_preorders,
+)
 from ordbubble.topology import (
     CheckOutcome,
     ConnectivityReport,
+    FiniteTopology,
     ProjectionReport,
+    _least,
+    _minimal_opens,
+    connectivity_report,
+    generate_topology,
+    is_base,
     open_intervals,
-    unique_extents,
 )
 
 
@@ -223,6 +237,48 @@ def truncated_reciprocal_instance(n: int):
         (f"1/{j+1}", f"1/{j}") for j in range(n - 1, 0, -1)
     ]
     return relation, expected_gaps
+
+
+def decomposable_preorders():
+    """Every bubble-decomposable preorder with n <= 4."""
+    for n in range(1, 5):
+        for r in enumerate_preorders(n):
+            try:
+                bubble_decompose(r)
+            except NotNegativelyTransitive:
+                continue
+            yield r
+
+
+def shuffled_bubble_system(rnd: random.Random, n: int) -> BubbleSystem:
+    """Bubbles of 1-4 elements at shuffled carrier positions, inner classes
+    at random, and index labels whose rank order is not their carrier order."""
+    labels = [f"x{i}" for i in range(n)]
+    rnd.shuffle(labels)
+    blocks = []
+    while labels:
+        size = rnd.randint(1, min(4, len(labels)))
+        blocks.append(labels[:size])
+        labels = labels[size:]
+    carrier = Carrier(tuple(f"x{i}" for i in range(n)))
+    index_labels = [f"I{b}" for b in range(len(blocks))]
+    ranks = list(range(len(blocks)))
+    rnd.shuffle(ranks)
+    index = Loset(Carrier(tuple(index_labels)), tuple(ranks))
+    bubbles, projection = [], {}
+    for label in index.sorted_labels():
+        block = tuple(sorted(blocks[index_labels.index(label)], key=carrier.position))
+        tags = {x: rnd.randrange(len(block)) for x in block}
+        pairs = [(x, y) for x in block for y in block if tags[x] == tags[y]]
+        bubbles.append(Bubble(block, EquivalenceRelation(make_relation(Carrier(block), pairs))))
+        projection.update({x: label for x in block})
+    return BubbleSystem(carrier=carrier, index=index, bubbles=tuple(bubbles), projection=projection)
+
+
+def seeded_systems(count=200, max_n=64, seed=5):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        yield shuffled_bubble_system(rnd, rnd.randint(1, max_n))
 
 
 def naive_generated_opens(carrier: Carrier, extents) -> set[frozenset]:
@@ -472,6 +528,112 @@ def enumerated_projection_check(system: BubbleSystem) -> ProjectionReport:
     )
     dense = enumerated_minimal_dense_subset(top_a)
     dense_image = _enumerated_is_dense(top_i, {projection[x] for x in dense})
+    return ProjectionReport(
+        extent_bijection=bijection,
+        extents_form_base=base,
+        continuous_and_open=continuous and open_map,
+        preimage_topology=preimage_topology,
+        connectedness_match=connected_match,
+        dense_image=dense_image,
+    )
+
+
+# ---------------------------------------------------------------------------
+# label-set projection check
+
+# The earlier projection check, which lists every open interval with a
+# label-set extent, generates the topology from all of them and decides
+# each fact on label sets, kept as the reference for the mask version.
+# ``generate_topology(r.carrier, open_intervals(r))`` is the earlier
+# ``interval_topology(r)``.
+
+def unique_extents(intervals) -> list[frozenset[str]]:
+    """Distinct interval extents in first-seen order."""
+    seen: list[frozenset[str]] = []
+    for interval in intervals:
+        if interval.extent not in seen:
+            seen.append(interval.extent)
+    return seen
+
+
+def label_continuity_check(mapping, source: FiniteTopology, target: FiniteTopology) -> CheckOutcome:
+    failing = []
+    for x, hood in zip(source.carrier.elements, source.neighbourhoods):
+        image = target.mask_of(mapping[y] for y in source.labels_of(hood))
+        target_hood = target.neighbourhoods[target.carrier.position(mapping[x])]
+        if image & ~target_hood:
+            failing.append(target_hood)
+    witness = _least(target, failing)
+    return CheckOutcome(witness is None, witness)
+
+
+def label_is_open_map(mapping, source: FiniteTopology, target: FiniteTopology) -> bool:
+    return all(
+        target.is_open(mapping[y] for y in source.labels_of(hood)) for hood in source.neighbourhoods
+    )
+
+
+def label_is_preimage_topology(mapping, source: FiniteTopology, target: FiniteTopology) -> bool:
+    elems = source.carrier.elements
+    for x, hood in zip(elems, source.neighbourhoods):
+        image_hood = target.neighbourhoods[target.carrier.position(mapping[x])]
+        members = set(target.labels_of(image_hood))
+        if hood != source.mask_of(y for y in elems if mapping[y] in members):
+            return False
+    return True
+
+
+def label_is_dense(topology: FiniteTopology, subset) -> bool:
+    mask = topology.mask_of(subset)
+    return all(mask & hood for hood in _minimal_opens(topology))
+
+
+def label_minimal_dense_subset(topology: FiniteTopology) -> set[str]:
+    return {
+        topology.carrier.elements[(hood & -hood).bit_length() - 1]
+        for hood in _minimal_opens(topology)
+    }
+
+
+def label_projection_check(system: BubbleSystem) -> ProjectionReport:
+    system.validate()
+    relation = bubble_compose(system)
+    projection = system.projection
+    index_relation = system.index.relation()
+
+    intervals_a = open_intervals(relation)
+    intervals_i = open_intervals(index_relation)
+    top_a = generate_topology(relation.carrier, intervals_a)
+    top_i = generate_topology(index_relation.carrier, intervals_i)
+
+    extents_a = {e for e in unique_extents(intervals_a) if e}
+    extents_i = {e for e in unique_extents(intervals_i) if e}
+
+    def project(subset):
+        return frozenset(projection[x] for x in subset)
+
+    def pull_back(subset):
+        return frozenset(x for x in system.carrier.elements if projection[x] in subset)
+
+    bijection = (
+        {project(e) for e in extents_a} == extents_i
+        and {pull_back(k) for k in extents_i} == extents_a
+        and all(pull_back(project(e)) == e for e in extents_a)
+        and all(project(pull_back(k)) == k for k in extents_i)
+    )
+    if system.index.n == 1:
+        full = (1 << system.carrier.n) - 1
+        base = all(hood == full for hood in top_a.neighbourhoods)
+    else:
+        base = is_base(sorted(extents_a, key=sorted), top_a).holds
+    continuous = label_continuity_check(projection, top_a, top_i).holds
+    open_map = label_is_open_map(projection, top_a, top_i)
+    preimage_topology = label_is_preimage_topology(projection, top_a, top_i)
+    connected_match = (
+        connectivity_report(top_a).connected == connectivity_report(top_i).connected
+    )
+    dense = label_minimal_dense_subset(top_a)
+    dense_image = label_is_dense(top_i, {projection[x] for x in dense})
     return ProjectionReport(
         extent_bijection=bijection,
         extents_form_base=base,

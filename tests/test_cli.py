@@ -1,9 +1,12 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+import oracles
 from ordbubble.cli import main, parse_input
 
 
@@ -214,3 +217,25 @@ def test_sweep_deterministic_across_runs():
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# sha256 of the exit code and report bytes on seeded bubble relations past
+# the n <= 14 of the benchmark's golden digests; at n = 64 the topology verb
+# refuses to list the opens
+REPORT_DIGESTS = {
+    ("utility", 14): "d2878b5d2e57cf0d0d225ac8957bc1f5a6b29841a5a12a22248e80ff7ef8f183",
+    ("topology", 14): "4fa21d396e5f1e8f2a604fb8713a5aecf57b6d2cbe46b5104ef989d0ce4d1a13",
+    ("utility", 64): "9d4f3bf1d6827988357db8af7844f84eff392ff13885b5fc560148df9588db50",
+    ("topology", 64): "639952cc425bba7ec438a3d6ec193d8fe38b09988f2191107f77460e450b7197",
+}
+
+
+@pytest.mark.parametrize("verb,n", sorted(REPORT_DIGESTS))
+def test_topology_reports_do_not_drift(verb, n, tmp_path):
+    relation = oracles.label_bubble_compose(oracles.shuffled_bubble_system(random.Random(n), n))
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(relation.to_json_dict()))
+    out = tmp_path / "report.json"
+    code = main([verb, "--in", str(path), "--out", str(out)])
+    digest = hashlib.sha256(f"{code}\n".encode() + out.read_bytes()).hexdigest()
+    assert digest == REPORT_DIGESTS[verb, n]

@@ -12,13 +12,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import decomposable_preorders, seeded_systems, shuffled_bubble_system
 from ordbubble import (
     Carrier,
     EquivalenceRelation,
     InvariantViolation,
     NotAPartialOrder,
     NotAnEquivalence,
-    NotNegativelyTransitive,
     Relation,
     ValidationError,
     bubble_compose,
@@ -39,47 +39,6 @@ from ordbubble import factor, order_ext, relations, structure
 from ordbubble.relations import SaturationCheck, _first_violation, all_rows
 from ordbubble.structure import Bubble, BubbleSystem, Loset, _index_violation
 from ordbubble.order_ext import _utility_violation
-
-
-def decomposable_preorders():
-    for n in range(1, 5):
-        for r in enumerate_preorders(n):
-            try:
-                bubble_decompose(r)
-            except NotNegativelyTransitive:
-                continue
-            yield r
-
-
-def shuffled_bubble_system(rnd: random.Random, n: int) -> BubbleSystem:
-    """Bubbles of 1-4 elements at shuffled carrier positions, inner classes
-    at random, and index labels whose rank order is not their carrier order."""
-    labels = [f"x{i}" for i in range(n)]
-    rnd.shuffle(labels)
-    blocks = []
-    while labels:
-        size = rnd.randint(1, min(4, len(labels)))
-        blocks.append(labels[:size])
-        labels = labels[size:]
-    carrier = Carrier(tuple(f"x{i}" for i in range(n)))
-    index_labels = [f"I{b}" for b in range(len(blocks))]
-    ranks = list(range(len(blocks)))
-    rnd.shuffle(ranks)
-    index = Loset(Carrier(tuple(index_labels)), tuple(ranks))
-    bubbles, projection = [], {}
-    for label in index.sorted_labels():
-        block = tuple(sorted(blocks[index_labels.index(label)], key=carrier.position))
-        tags = {x: rnd.randrange(len(block)) for x in block}
-        pairs = [(x, y) for x in block for y in block if tags[x] == tags[y]]
-        bubbles.append(Bubble(block, EquivalenceRelation(make_relation(Carrier(block), pairs))))
-        projection.update({x: label for x in block})
-    return BubbleSystem(carrier=carrier, index=index, bubbles=tuple(bubbles), projection=projection)
-
-
-def seeded_systems(count=200, max_n=64, seed=5):
-    rnd = random.Random(seed)
-    for _ in range(count):
-        yield shuffled_bubble_system(rnd, rnd.randint(1, max_n))
 
 
 def assert_pipeline_matches(relation: Relation):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import unique_extents
 from ordbubble import (
     Carrier,
     FiniteTopology,
@@ -38,7 +39,6 @@ from ordbubble.topology import (
     _is_preimage_topology,
     _minimal_dense_subset,
     _minimal_opens,
-    unique_extents,
 )
 from ordbubble.sweep import random_bubble_system
 
@@ -396,19 +396,26 @@ def assert_matches_enumeration(carrier, subbase, rnd):
     for family in families:
         assert is_base(family, ours) == oracles.enumerated_is_base(family, ref)
     assert sorted(_minimal_opens(ours)) == sorted(oracles.enumerated_minimal_opens(ref))
-    assert _minimal_dense_subset(ours) == oracles.enumerated_minimal_dense_subset(ref)
+    dense = set(ours.labels_of(_minimal_dense_subset(ours)))
+    assert dense == oracles.enumerated_minimal_dense_subset(ref)
     return ours, ref
+
+
+def images(mapping, source, target):
+    """The map as the private checks take it: one-bit target masks."""
+    return [1 << target.carrier.position(mapping[x]) for x in source.carrier.elements]
 
 
 def assert_map_matches_enumeration(mapping, source, target):
     (ours_s, ref_s), (ours_t, ref_t) = source, target
+    image_of = images(mapping, ours_s, ours_t)
     assert continuity_check(mapping, ours_s, ours_t) == oracles.enumerated_continuity(
         mapping, ref_s, ref_t
     )
-    assert _is_open_map(mapping, ours_s, ours_t) == oracles.enumerated_is_open_map(
+    assert _is_open_map(image_of, ours_s, ours_t) == oracles.enumerated_is_open_map(
         mapping, ref_s, ref_t
     )
-    assert _is_preimage_topology(mapping, ours_s, ours_t) == (
+    assert _is_preimage_topology(image_of, ours_s, ours_t) == (
         oracles.enumerated_is_preimage_topology(mapping, ref_s, ref_t)
     )
 
@@ -476,3 +483,76 @@ def test_projection_reports_match_enumeration():
         relation = bubble_compose(system)
         assert_matches_enumeration(relation.carrier, open_intervals(relation), rnd)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the ray generation and the mask checks against the label-set path in
+# oracles.py, past the sizes the enumerated reference reaches
+
+def test_ray_topology_matches_the_interval_subbase():
+    rnd = random.Random(47)
+    relations = [r for n in (1, 2, 3, 4) for r in enumerate_preorders(n)]
+    relations += [random_preorder(rnd, rnd.randint(1, 64)) for _ in range(30)]
+    relations += [oracles.label_bubble_compose(s) for s in oracles.seeded_systems(30, 64, seed=53)]
+    for relation in relations:
+        assert interval_topology(relation) == generate_topology(
+            relation.carrier, open_intervals(relation)
+        )
+
+
+def test_maps_match_the_label_set_checks():
+    rnd = random.Random(59)
+    for _ in range(30):
+        source = interval_topology(random_preorder(rnd, rnd.randint(13, 64)))
+        target = interval_topology(random_preorder(rnd, rnd.randint(2, 8)))
+        labels = target.carrier.elements
+        for mapping in (
+            {x: rnd.choice(labels) for x in source.carrier.elements},
+            {x: rnd.choice(labels[:2]) for x in source.carrier.elements},
+            dict.fromkeys(source.carrier.elements, labels[0]),
+        ):
+            image_of = images(mapping, source, target)
+            assert continuity_check(mapping, source, target) == oracles.label_continuity_check(
+                mapping, source, target
+            )
+            assert _is_open_map(image_of, source, target) == oracles.label_is_open_map(
+                mapping, source, target
+            )
+            assert _is_preimage_topology(image_of, source, target) == (
+                oracles.label_is_preimage_topology(mapping, source, target)
+            )
+
+
+def test_projection_reports_match_the_label_set_path():
+    systems = [bubble_decompose(r) for r in oracles.decomposable_preorders()]
+    systems += oracles.seeded_systems(40, 64, seed=61)
+    for system in systems:
+        assert projection_check(system) == oracles.label_projection_check(system)
+
+
+def test_mask_path_builds_no_intervals(monkeypatch, tmp_path):
+    system = oracles.shuffled_bubble_system(random.Random(64), 64)
+    relation = oracles.label_bubble_compose(system)
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(relation.to_json_dict()))
+    built = []
+    init = Interval.__init__
+    monkeypatch.setattr(Interval, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    interval_topology(relation)
+    projection_check(system)
+    assert main(["utility", "--in", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert built == []
+    open_intervals(relation)
+    assert built
+
+
+def test_listing_opens_costs_per_open(monkeypatch):
+    probes = []
+    is_open = FiniteTopology._is_open_mask
+    monkeypatch.setattr(
+        FiniteTopology, "_is_open_mask", lambda self, mask: probes.append(mask) or is_open(self, mask)
+    )
+    labels = tuple(f"e{i}" for i in range(16))
+    assert generate_topology(Carrier(labels), []).sorted_opens() == [(), labels]
+    assert probes == []
+    assert len(interval_topology(chain(labels[:14])).opens) == 1 << 14
