@@ -38,6 +38,7 @@ from .relations import (
     Relation,
     _first_violation,
     _is_label_list,
+    _least_pair,
     _level_masks,
     _neg_transitive_witness,
     _reflexive_witness,
@@ -292,14 +293,9 @@ def join_pair(equivalence: EquivalenceRelation, strict: Relation) -> Relation:
     if violation := _first_violation(strict, ("asymmetric", "transitive")):
         flag, witness = violation
         raise PairInvalid(f"strict part is not {flag}", witness)
-    if any(a & b for a, b in zip(e.rows, strict.rows)):
-        shared = next(
-            (x, y)
-            for x in e.carrier.elements
-            for y in e.carrier.elements
-            if e.has(x, y) and strict.has(x, y)
-        )
-        raise PairInvalid("equivalence and strict part overlap", shared)
+    if shared := _least_pair(a & b for a, b in zip(e.rows, strict.rows)):
+        labels = tuple(e.carrier.elements[i] for i in shared)
+        raise PairInvalid("equivalence and strict part overlap", labels)
     sat = check_saturation(strict, e, "full")
     if not sat.holds:
         raise PairInvalid("strict part is not saturated for the equivalence", sat.witness or ())

@@ -6,38 +6,39 @@ preorders two independent ways, and round-trips decompositions and linear
 extensions.  Each check carries a neutral name; a sweep with any failure is
 a build-breaking event for the CLI.
 
-The batteries evaluate every property with the witness kernels of
-``relations``; this module defines none of its own.
+The battery checks each identity on all relations at once, as a truth
+table: an int with one bit per relation.  In a table matrix T, bit k of
+``T[i][j]`` says whether relation k holds (i, j).  The exhaustive sweep
+numbers relations in ``all_rows`` order, the pair battery the relations on
+the cells one equivalence leaves free, and the random sweep the samples of
+each size in sampling order.  Negation also sets the bits above the last
+relation; they mean nothing, since a tally reads a table only under a
+hypothesis masked to the relations.  The tables are a verification
+encoding private to this module, not a second kernel layer.
 
 Fault injection (``faults={"saturation"}`` etc.) deliberately corrupts one
 predicate so harness wiring can be tested end to end: a corrupted check
-must surface as a reported failure.  Faults are resolved at the entry of
-each of the four batteries, which pick a negated negative-transitivity or
-saturation predicate when that fault is injected; no kernel sees them.
+must surface as a reported failure.  An injected fault flips every bit of
+the negative-transitivity or saturation table.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import partial, reduce
+from itertools import chain, pairwise, product
+from operator import and_, inv, or_
+from typing import Callable, Iterable, Iterator
 
-from .errors import ValidationError
+from .errors import NotNegativelyTransitive, TooLarge, ValidationError
 from .relations import (
     Carrier,
     Relation,
-    _antisymmetric_witness,
-    _asymmetric_witness,
     _complete_witness,
-    _compose_witness,
-    _irreflexive_witness,
-    _neg_transitive_witness,
-    _reflexive_witness,
-    _symmetric_witness,
     _transitive_witness,
-    all_rows,
     closure_rows,
-    complement_rows,
+    derived_parts,
     diagonal_rows,
     transpose_rows,
 )
@@ -64,20 +65,27 @@ class CheckTally:
     failures: int = 0
     first_failure: tuple | None = None
 
-    def record(self, ok: bool, witness=None):
-        self.instances += 1
-        if not ok:
-            self.failures += 1
-            if self.first_failure is None:
-                self.first_failure = witness
-
 
 @dataclass
 class SweepTallies:
     checks: dict[str, CheckTally] = field(default_factory=dict)
 
-    def record(self, name: str, ok: bool, witness=None):
-        self.checks.setdefault(name, CheckTally()).record(ok, witness)
+    def record(self, name: str, hypothesis: int, holds: int, witness: Callable[[int], tuple]):
+        """Tally a table of instances: bit k of ``hypothesis`` marks
+        instance k, and of ``holds`` that it passes; ``witness(k)`` names
+        it.  The first failure is the lowest failing bit."""
+        if not hypothesis:
+            return
+        tally = self.checks.setdefault(name, CheckTally())
+        bad = hypothesis & ~holds
+        tally.instances += hypothesis.bit_count()
+        tally.failures += bad.bit_count()
+        if bad and tally.first_failure is None:
+            tally.first_failure = witness((bad & -bad).bit_length() - 1)
+
+    def record_one(self, name: str, ok: bool, witness):
+        """Tally a single instance, as a 1-bit table."""
+        self.record(name, 1, ok, lambda _: witness)
 
     def failures_total(self) -> int:
         return sum(t.failures for t in self.checks.values())
@@ -87,23 +95,6 @@ class SweepTallies:
             name: {"instances": tally.instances, "failures": tally.failures}
             for name, tally in sorted(self.checks.items())
         }
-
-
-# ---------------------------------------------------------------------------
-# the predicates the batteries pick by fault
-
-def _saturated(s, e, n) -> bool:
-    """Full saturation of s for e: e.s and s.e both land inside s."""
-    return _compose_witness(e, s, s, n) is None and _compose_witness(s, e, s, n) is None
-
-
-# Keyed by whether the fault is injected; an injected fault negates the
-# predicate.
-_NEGATIVELY_TRANSITIVE = {
-    False: lambda rows, n: _neg_transitive_witness(rows, n) is None,
-    True: lambda rows, n: _neg_transitive_witness(rows, n) is not None,
-}
-_SATURATED = {False: _saturated, True: lambda s, e, n: not _saturated(s, e, n)}
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +138,6 @@ def all_equivalence_rows(n: int) -> Iterator[tuple[int, ...]]:
         yield equivalence_rows_from_blocks(blocks, n)
 
 
-def equivalence_free_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every (equivalence, relation outside it) pair on n elements: each
-    equivalence with every subset of the cells it leaves free."""
-    for e_rows in all_equivalence_rows(n):
-        free = [(i, j) for i in range(n) for j in range(n) if not e_rows[i] >> j & 1]
-        for code in range(1 << len(free)):
-            f_rows = [0] * n
-            for k, (i, j) in enumerate(free):
-                if code >> k & 1:
-                    f_rows[i] |= 1 << j
-            yield e_rows, tuple(f_rows)
-
-
 def all_partial_order_rows(n: int) -> Iterator[tuple[int, ...]]:
     """Every partial order on n elements: reflexive and antisymmetric by
     construction (3 states per unordered pair), filtered for transitivity."""
@@ -191,13 +169,10 @@ def all_partial_order_rows(n: int) -> Iterator[tuple[int, ...]]:
 def count_split_pairs(n: int) -> int:
     """Independent preorder count: valid (equivalence, strict) pairs where
     the strict part is asymmetric, transitive, saturated and disjoint."""
-    return sum(
-        1
-        for e_rows, f_rows in equivalence_free_pairs(n)
-        if _asymmetric_witness(f_rows, transpose_rows(f_rows, n), n) is None
-        and _transitive_witness(f_rows, n) is None
-        and _saturated(f_rows, e_rows, n)
-    )
+    total = 0
+    for _, E, F, full in _equivalence_tables(n):
+        total += (_asymmetric(F) & _transitive(F) & _saturated(F, E) & full).bit_count()
+    return total
 
 
 def random_rows(rnd: random.Random, n: int) -> tuple[int, ...]:
@@ -260,230 +235,257 @@ def random_bubble_system(
 
 
 # ---------------------------------------------------------------------------
+# truth tables
+
+def _variables(cells: list[tuple[int, int]], n: int) -> tuple[list[list[int]], int]:
+    """Every relation on ``cells``: bit b of relation k's number decides cells[b]."""
+    full = (1 << (1 << len(cells))) - 1
+    T = [[0] * n for _ in range(n)]
+    for b, (i, j) in enumerate(cells):
+        w = 1 << b
+        T[i][j] = (((1 << w) - 1) << w) * (full // ((1 << 2 * w) - 1))
+    return T, full
+
+
+def _equivalence_tables(n: int) -> Iterator[tuple]:
+    """Each equivalence, as constant tables, with every relation on the
+    cells it leaves free, taken row-major."""
+    for e_rows in all_equivalence_rows(n):
+        held = [[e_rows[i] >> j & 1 for j in range(n)] for i in range(n)]
+        F, full = _variables([(i, j) for i in range(n) for j in range(n) if not held[i][j]], n)
+        yield e_rows, [[full * bit for bit in row] for row in held], F, full
+
+
+def _pack(samples: list[tuple[int, ...]], n: int) -> tuple[list[list[int]], int]:
+    """Row tuples as a table matrix, sample k at bit k."""
+    T = []
+    for i in range(n):
+        # row i's binary digits, last sample first: column n-1-j is pair (i, j)
+        digits = zip(*(format(rows[i], f"0{n}b") for rows in reversed(samples)))
+        T.append([int("".join(column), 2) for column in digits][::-1])
+    return T, (1 << len(samples)) - 1
+
+
+def _every(tables: Iterable[int]) -> int:
+    return reduce(and_, tables, -1)
+
+
+def _inverse(T):
+    return [list(col) for col in zip(*T)]
+
+
+def _cellwise(op, *matrices):
+    return [list(map(op, *rows)) for rows in zip(*matrices)]
+
+
+_complement = partial(_cellwise, inv)
+_meet = partial(_cellwise, and_)
+_join = partial(_cellwise, or_)
+
+
+def _agree(*tables: int) -> int:
+    """The relations on which all the tables agree."""
+    return _every(~(a ^ b) for a, b in pairwise(tables))
+
+
+def _same(A, B) -> int:
+    return _every(~(a ^ b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+def _reflexive(T) -> int:
+    return _every(row[i] for i, row in enumerate(T))
+
+
+def _irreflexive(T) -> int:
+    return _every(~row[i] for i, row in enumerate(T))
+
+
+def _symmetric(T) -> int:
+    return _same(T, _inverse(T))
+
+
+def _antisymmetric(T) -> int:
+    both = _meet(T, _inverse(T))
+    return _every(~t for i, row in enumerate(both) for j, t in enumerate(row) if i != j)
+
+
+def _asymmetric(T) -> int:
+    return _every(~t for t in chain(*_meet(T, _inverse(T))))
+
+
+def _complete(T) -> int:
+    return _every(chain(*_join(T, _inverse(T))))
+
+
+def _inside(A, B, C) -> int:
+    """The relations on which the composite A.B lies inside C."""
+    bad = 0
+    for x, y, z in product(range(len(A)), repeat=3):
+        bad |= A[x][y] & B[y][z] & ~C[x][z]
+    return ~bad
+
+
+def _transitive(T) -> int:
+    return _inside(T, T, T)
+
+
+def _negatively_transitive(T) -> int:
+    """xRz implies xRy or yRz: the complement is transitive."""
+    return _transitive(_complement(T))
+
+
+def _saturated(s, e) -> int:
+    """Full saturation of s for e: e.s and s.e both land inside s."""
+    return _inside(e, s, s) & _inside(s, e, s)
+
+
+# ---------------------------------------------------------------------------
 # the battery
 
-def relation_battery(rows: tuple[int, ...], n: int, tallies: SweepTallies, faults=frozenset()):
+def relation_battery(T, full: int, tallies: SweepTallies, witness, faults=frozenset()):
     """Identities that hold for every relation, plus the preorder and
-    strict-order consequences when the hypotheses apply."""
-    negtrans = _NEGATIVELY_TRANSITIVE["negative-transitivity" in faults]
-    full = (1 << n) - 1
-    tr = transpose_rows(rows, n)
-    comp = complement_rows(rows, n)
-    comp_tr = complement_rows(tr, n)
+    strict-order consequences where their hypotheses hold, on the table
+    matrix T of the relations in ``full``; ``witness(k)`` names relation k."""
+    nt_flip = full if "negative-transitivity" in faults else 0
+    sat_flip = full if "saturation" in faults else 0
 
-    sym_r = _symmetric_witness(rows, tr, n) is None
-    asym_r = _asymmetric_witness(rows, tr, n) is None
-    refl_r = _reflexive_witness(rows, n) is None
-    irrefl_r = _irreflexive_witness(rows, n) is None
-    antisym_r = _antisymmetric_witness(rows, tr, n) is None
-    complete_r = _complete_witness(rows, tr, n) is None
-    trans_r = _transitive_witness(rows, n) is None
-    negtrans_r = negtrans(rows, n)
+    def negtrans(m):
+        return _negatively_transitive(m) ^ nt_flip
+
+    def check(name, holds, hypothesis=full):
+        tallies.record(name, hypothesis & full, holds, witness)
+
+    tr = _inverse(T)
+    comp = _complement(T)
+    comp_tr = _inverse(comp)
+    asym = _asymmetric(T)
+    refl = _reflexive(T)
+    irrefl = _irreflexive(T)
+    complete = _complete(T)
+    trans = _transitive(T)
+    nt = negtrans(T)
 
     # symmetry/asymmetry/transitivity transfer to the inverse and complement
-    tallies.record(
-        "inverse-complement-symmetry",
-        sym_r
-        == (_symmetric_witness(tr, rows, n) is None)
-        == (_symmetric_witness(comp, comp_tr, n) is None),
-        rows,
-    )
-    tallies.record(
-        "inverse-asymmetry-complement-completeness",
-        asym_r
-        == (_asymmetric_witness(tr, rows, n) is None)
-        == (_complete_witness(comp, comp_tr, n) is None),
-        rows,
-    )
-    tallies.record(
-        "transitivity-inverse-and-complement",
-        trans_r == (_transitive_witness(tr, n) is None) and trans_r == negtrans(comp, n),
-        rows,
-    )
-    tallies.record(
-        "negative-transitivity-inverse-and-complement",
-        negtrans_r == negtrans(tr, n) and negtrans_r == (_transitive_witness(comp, n) is None),
-        rows,
-    )
+    check("inverse-complement-symmetry", _agree(_symmetric(T), _symmetric(tr), _symmetric(comp)))
+    asym_faces = _agree(asym, _asymmetric(tr), _complete(comp))
+    check("inverse-asymmetry-complement-completeness", asym_faces)
+    check("transitivity-inverse-and-complement", _agree(trans, _transitive(tr), negtrans(comp)))
+    nt_faces = _agree(nt, negtrans(tr), _transitive(comp))
+    check("negative-transitivity-inverse-and-complement", nt_faces)
 
     # negative transitivity upgrades to transitivity under mild shape
-    tallies.record(
-        "negative-transitivity-upgrades",
-        (not (refl_r and antisym_r and negtrans_r) or trans_r)
-        and (not (asym_r and negtrans_r) or trans_r),
-        rows,
-    )
-    tallies.record(
-        "asymmetry-reflexivity-links",
-        (not asym_r or irrefl_r)
-        and (not (irrefl_r and trans_r) or asym_r)
-        and (not complete_r or refl_r)
-        and (not (trans_r and complete_r) or negtrans_r),
-        rows,
-    )
-    tallies.record(
-        "strict-order-two-faces",
-        (asym_r and trans_r) == (irrefl_r and trans_r),
-        rows,
-    )
+    antisym = _antisymmetric(T)
+    check("negative-transitivity-upgrades", ~((refl & antisym & nt) | (asym & nt)) | trans)
+    links = (~asym | irrefl) & (~(irrefl & trans) | asym) & (~complete | refl)
+    check("asymmetry-reflexivity-links", links & (~(trans & complete) | nt))
+    check("strict-order-two-faces", _agree(asym & trans, irrefl & trans))
 
-    i_rows = tuple(a & b for a, b in zip(rows, tr))
-    p_rows = tuple(a & ~b for a, b in zip(rows, tr))
-    u_rows = tuple(a | b for a, b in zip(rows, tr))
-    e_rows = complement_rows(u_rows, n)
-    p_tr = transpose_rows(p_rows, n)
+    i_t = _meet(T, tr)
+    p_t = _meet(T, comp_tr)
+    u_t = _join(T, tr)
+    e_t = _complement(u_t)
+    p_tr = _inverse(p_t)
+    identities = _same(_complement(i_t), _join(comp, comp_tr)) & _same(_meet(comp, comp_tr), e_t)
+    identities &= _same(_complement(p_t), _join(comp, tr))
+    identities &= _same(_complement(_join(p_t, p_tr)), _join(e_t, i_t))
+    check("derived-part-identities", identities)
+    shapes = _symmetric(i_t) & _symmetric(u_t) & _symmetric(e_t) & _asymmetric(p_t)
+    check("derived-part-shapes", shapes & (~trans | (_transitive(i_t) & _transitive(p_t))))
+    check("incomparability-inherits-transitivity", ~nt | _transitive(e_t))
 
-    tallies.record(
-        "derived-part-identities",
-        complement_rows(i_rows, n) == tuple(a | b for a, b in zip(comp, comp_tr))
-        and tuple(a & b for a, b in zip(comp, comp_tr)) == e_rows
-        and complement_rows(p_rows, n) == tuple(a | b for a, b in zip(comp, tr))
-        and tuple(~(a | b) & full for a, b in zip(p_rows, p_tr))
-        == tuple(a | b for a, b in zip(e_rows, i_rows)),
-        rows,
-    )
-    tallies.record(
-        "derived-part-shapes",
-        _symmetric_witness(i_rows, transpose_rows(i_rows, n), n) is None
-        and _symmetric_witness(u_rows, transpose_rows(u_rows, n), n) is None
-        and _symmetric_witness(e_rows, transpose_rows(e_rows, n), n) is None
-        and _asymmetric_witness(p_rows, p_tr, n) is None
-        and (
-            not trans_r
-            or (_transitive_witness(i_rows, n) is None and _transitive_witness(p_rows, n) is None)
-        ),
-        rows,
-    )
-    tallies.record(
-        "incomparability-inherits-transitivity",
-        not negtrans_r or _transitive_witness(e_rows, n) is None,
-        rows,
-    )
+    # preorders: saturated parts, disjoint parts, and completeness
+    # characterized through the complement of the inverse
+    preorder = refl & trans
+    check("preorder-strict-absorption", _saturated(p_t, T), preorder)
+    check("strict-part-saturated", _saturated(p_t, i_t) ^ sat_flip, preorder)
+    check("preorder-saturated-for-its-equivalence", _saturated(T, i_t) ^ sat_flip, preorder)
+    overlaps = _join(_join(_meet(i_t, p_t), _meet(i_t, p_tr)), _meet(p_t, p_tr))
+    check("preorder-parts-disjoint", _every(~t for t in chain(*overlaps)), preorder)
+    side_two = _asymmetric(comp_tr) & negtrans(comp_tr)
+    side_three = _same(i_t, _complement(_join(comp_tr, comp))) & _same(p_t, comp_tr)
+    check("completeness-three-faces", _agree(complete, side_two, side_three), preorder)
 
-    if refl_r and trans_r:
-        preorder_battery(rows, tr, i_rows, p_rows, e_rows, n, full, tallies, faults)
-    if asym_r and negtrans_r:
-        strict_battery(rows, tr, e_rows, n, full, tallies, faults)
+    # asymmetric, negatively transitive relations: the incomparability is an
+    # equivalence, the union is transitive and the relation saturated for it
+    weak = asym & nt
+    check("incomparability-equivalence", _reflexive(e_t) & _symmetric(e_t) & _transitive(e_t), weak)
+    check("incomparability-union-transitive", _transitive(_join(e_t, T)), weak)
+    check("strict-saturated-for-incomparability", _saturated(T, e_t) ^ sat_flip, weak)
 
 
-def preorder_battery(rows, tr, i_rows, p_rows, e_rows, n, full, tallies, faults=frozenset()):
-    negtrans = _NEGATIVELY_TRANSITIVE["negative-transitivity" in faults]
-    saturated = _SATURATED["saturation" in faults]
-    p_tr = transpose_rows(p_rows, n)
-    tallies.record("preorder-strict-absorption", _saturated(p_rows, rows, n), rows)
-    tallies.record("strict-part-saturated", saturated(p_rows, i_rows, n), rows)
-    tallies.record("preorder-saturated-for-its-equivalence", saturated(rows, i_rows, n), rows)
-    tallies.record(
-        "preorder-parts-disjoint",
-        all(
-            i_rows[k] & p_rows[k] == 0
-            and i_rows[k] & p_tr[k] == 0
-            and p_rows[k] & p_tr[k] == 0
-            for k in range(n)
-        ),
-        rows,
-    )
-    # completeness characterized through the complement of the inverse
-    f_rows = complement_rows(tr, n)
-    f_tr = complement_rows(rows, n)
-    e_of_f = tuple(~(a | b) & full for a, b in zip(f_rows, f_tr))
-    complete_r = _complete_witness(rows, tr, n) is None
-    side_two = _asymmetric_witness(f_rows, f_tr, n) is None and negtrans(f_rows, n)
-    side_three = i_rows == e_of_f and p_rows == f_rows
-    tallies.record(
-        "completeness-three-faces",
-        complete_r == side_two == side_three,
-        rows,
-    )
+def pair_battery(E, F, full: int, tallies: SweepTallies, witness, faults=frozenset()):
+    """Joining an equivalence E with a disjoint relation F: reflexivity is
+    free, transitivity and saturation trade places, and completeness matches
+    relative completeness.  ``witness(k)`` names pair k of ``full``."""
+    sat_flip = full if "saturation" in faults else 0
 
+    def check(name, holds, hypothesis=full):
+        tallies.record(name, hypothesis & full, holds, witness)
 
-def strict_battery(rows, tr, e_rows, n, full, tallies, faults=frozenset()):
-    """Consequences for an asymmetric, negatively transitive relation: its
-    incomparability is an equivalence, the union is transitive and the
-    relation is saturated for the incomparability."""
-    saturated = _SATURATED["saturation" in faults]
-    script = tuple(a | b for a, b in zip(e_rows, rows))
-    tallies.record(
-        "incomparability-equivalence",
-        _reflexive_witness(e_rows, n) is None
-        and _symmetric_witness(e_rows, transpose_rows(e_rows, n), n) is None
-        and _transitive_witness(e_rows, n) is None,
-        rows,
-    )
-    tallies.record("incomparability-union-transitive", _transitive_witness(script, n) is None, rows)
-    tallies.record("strict-saturated-for-incomparability", saturated(rows, e_rows, n), rows)
-
-
-def pair_battery(e_rows, f_rows, n, tallies, faults=frozenset()):
-    """Joining an equivalence with a disjoint relation: reflexivity is
-    free, transitivity and saturation trade places, and completeness
-    matches relative completeness."""
-    saturated = _SATURATED["saturation" in faults]
-    full = (1 << n) - 1
-    r_rows = tuple(a | b for a, b in zip(e_rows, f_rows))
-    f_tr = transpose_rows(f_rows, n)
-    trans_r = _transitive_witness(r_rows, n) is None
-    f_sat_e = saturated(f_rows, e_rows, n)
-    tallies.record("join-reflexive", _reflexive_witness(r_rows, n) is None, (e_rows, f_rows))
-    tallies.record("join-transitive-saturates", not trans_r or f_sat_e, (e_rows, f_rows))
-    tallies.record(
-        "saturated-strict-saturates-join",
-        not f_sat_e or saturated(r_rows, e_rows, n),
-        (e_rows, f_rows),
-    )
-    tallies.record(
-        "join-completeness-relative",
-        (_complete_witness(r_rows, transpose_rows(r_rows, n), n) is None)
-        == all(f_rows[i] | f_tr[i] == (full & ~e_rows[i]) for i in range(n)),
-        (e_rows, f_rows),
-    )
-    if _transitive_witness(f_rows, n) is None:
-        f_sat_r = saturated(f_rows, r_rows, n)
-        agree = f_sat_r == trans_r == f_sat_e
-        tallies.record("saturation-transitivity-equivalence", agree, (e_rows, f_rows))
-        partitions = all(
-            e_rows[i] & f_rows[i] == 0
-            and e_rows[i] & f_tr[i] == 0
-            and f_rows[i] & f_tr[i] == 0
-            and e_rows[i] | f_rows[i] | f_tr[i] == full
-            for i in range(n)
-        )
-        tallies.record(
-            "partition-forces-saturation",
-            not partitions or (f_sat_r and trans_r and f_sat_e),
-            (e_rows, f_rows),
-        )
+    R = _join(E, F)
+    f_tr = _inverse(F)
+    trans_r = _transitive(R)
+    f_sat_e = _saturated(F, E) ^ sat_flip
+    check("join-reflexive", _reflexive(R))
+    check("join-transitive-saturates", ~trans_r | f_sat_e)
+    check("saturated-strict-saturates-join", ~f_sat_e | (_saturated(R, E) ^ sat_flip))
+    check("join-completeness-relative", _agree(_complete(R), _same(_join(F, f_tr), _complement(E))))
+    transitive_f = _transitive(F)
+    f_sat_r = _saturated(F, R) ^ sat_flip
+    check("saturation-transitivity-equivalence", _agree(f_sat_r, trans_r, f_sat_e), transitive_f)
+    overlaps = _join(_join(_meet(E, F), _meet(E, f_tr)), _meet(F, f_tr))
+    partitions = _every(~t for t in chain(*overlaps)) & _every(chain(*_join(R, f_tr)))
+    check("partition-forces-saturation", ~partitions | (f_sat_r & trans_r & f_sat_e), transitive_f)
 
 
 # ---------------------------------------------------------------------------
 # sweep assembly
 
 def exhaustive_logic_sweep(n: int, tallies: SweepTallies, faults=frozenset()):
-    for rows in all_rows(n):
-        relation_battery(rows, n, tallies, faults)
-    for e_rows, f_rows in equivalence_free_pairs(n):
-        pair_battery(e_rows, f_rows, n, tallies, faults)
+    def rows_of(T, k):
+        return tuple(sum((t >> k & 1) << j for j, t in enumerate(row)) for row in T)
+
+    T, full = _variables([(i, j) for i in reversed(range(n)) for j in reversed(range(n))], n)
+    relation_battery(T, full, tallies, lambda k: rows_of(T, k), faults)
+    for e_rows, E, F, full in _equivalence_tables(n):
+        pair_battery(E, F, full, tallies, lambda k: (e_rows, rows_of(F, k)), faults)
 
 
 def random_logic_sweep(total: int, sizes: Iterable[int], seed: int, tallies: SweepTallies):
+    """Seeded random relations, preorders and (equivalence, disjoint
+    relation) pairs, one table matrix per size; a check's first failure is
+    its earliest failing sample."""
     rnd = random.Random(seed)
     sizes = tuple(sizes)
-    for _ in range(total):
+    drawn = {}
+    for t in range(total):
         n = rnd.choice(sizes)
-        rows = random_rows(rnd, n)
-        relation_battery(rows, n, tallies)
-        preorder = random_preorder_rows(rnd, n)
-        relation_battery(preorder, n, tallies)
+        relations, pairs = drawn.setdefault(n, ([], []))
+        relations += [(2 * t, random_rows(rnd, n)), (2 * t + 1, random_preorder_rows(rnd, n))]
         e_rows = random_equivalence_rows(rnd, n)
-        f_rows = tuple(r & ~e for r, e in zip(random_rows(rnd, n), e_rows))
-        pair_battery(e_rows, f_rows, n, tallies)
+        pairs.append((t, (e_rows, tuple(r & ~e for r, e in zip(random_rows(rnd, n), e_rows)))))
+    # each size's witnesses carry the sample's place in the draw
+    parts = []
+    for n, (relations, pairs) in drawn.items():
+        parts.append(part := SweepTallies())
+        T, full = _pack([rows for _, rows in relations], n)
+        relation_battery(T, full, part, relations.__getitem__)
+        E, full = _pack([e_rows for _, (e_rows, _) in pairs], n)
+        F, _ = _pack([f_rows for _, (_, f_rows) in pairs], n)
+        pair_battery(E, F, full, part, pairs.__getitem__)
+    for name in sorted({name for part in parts for name in part.checks}):
+        found = [part.checks[name] for part in parts if name in part.checks]
+        tally = tallies.checks.setdefault(name, CheckTally())
+        tally.instances += sum(f.instances for f in found)
+        tally.failures += sum(f.failures for f in found)
+        firsts = [f.first_failure for f in found if f.first_failure is not None]
+        if firsts and tally.first_failure is None:
+            tally.first_failure = min(firsts)[1]
 
 
 def decomposition_sweep(n: int, tallies: SweepTallies):
     """Round-trip every preorder of the carrier through bubbles, or through
     the linear factor when the strict part is not negatively transitive."""
-    from .errors import NotNegativelyTransitive
-
     for relation in enumerate_preorders(n):
         try:
             system = bubble_decompose(relation)
@@ -491,16 +493,14 @@ def decomposition_sweep(n: int, tallies: SweepTallies):
             witness = exc.witness
             strict_ok = _witness_violates(relation, witness)
             factored = bourbaki_factor(relation)
-            tallies.record("fallback-linear-factor", factored.order.n >= 1, relation.rows)
-            tallies.record("refusal-witness-valid", strict_ok, relation.rows)
+            tallies.record_one("fallback-linear-factor", factored.order.n >= 1, relation.rows)
+            tallies.record_one("refusal-witness-valid", strict_ok, relation.rows)
             continue
         rebuilt = bubble_compose(system)
-        tallies.record("decomposition-round-trip", rebuilt.rows == relation.rows, relation.rows)
+        tallies.record_one("decomposition-round-trip", rebuilt.rows == relation.rows, relation.rows)
 
 
 def _witness_violates(relation: Relation, witness: tuple[str, ...]) -> bool:
-    from .relations import derived_parts
-
     if len(witness) != 3:
         return False
     x, y, z = witness
@@ -515,10 +515,10 @@ def extension_sweep(n: int, tallies: SweepTallies):
         order = szpilrajn_extend(relation)
         extended = order.relation()
         grows = all(a | b == a for a, b in zip(extended.rows, rows))
-        tallies.record("extension-contains-input", grows, rows)
+        tallies.record_one("extension-contains-input", grows, rows)
         linear_input = _complete_witness(rows, transpose_rows(rows, n), n) is None
         if linear_input:
-            tallies.record("linear-fixed-point", extended.rows == rows, rows)
+            tallies.record_one("linear-fixed-point", extended.rows == rows, rows)
 
 
 def system_roundtrip_sweep(count: int, seed: int, tallies: SweepTallies):
@@ -527,7 +527,7 @@ def system_roundtrip_sweep(count: int, seed: int, tallies: SweepTallies):
         system = random_bubble_system(rnd)
         relation = bubble_compose(system)
         again = bubble_decompose(relation)
-        tallies.record("system-round-trip", again.same_shape(system), None)
+        tallies.record_one("system-round-trip", again.same_shape(system), None)
 
 
 def run_sweep(n: int, seed: int = DEFAULT_SEED, faults: Iterable[str] = ()) -> dict:
@@ -537,8 +537,6 @@ def run_sweep(n: int, seed: int = DEFAULT_SEED, faults: Iterable[str] = ()) -> d
     if unknown:
         raise ValidationError(f"unknown fault(s): {sorted(unknown)}")
     if not 1 <= n <= 4:
-        from .errors import TooLarge
-
         raise TooLarge(
             f"exhaustive sweep supports 1 <= n <= 4, got {n}; "
             "use the randomized battery for larger carriers"
@@ -547,7 +545,8 @@ def run_sweep(n: int, seed: int = DEFAULT_SEED, faults: Iterable[str] = ()) -> d
     exhaustive_logic_sweep(n, tallies, faults)
     filter_count = sum(1 for _ in enumerate_preorders(n))
     pair_count = count_split_pairs(n)
-    tallies.record("preorder-counts-agree", filter_count == pair_count, (filter_count, pair_count))
+    counts = (filter_count, pair_count)
+    tallies.record_one("preorder-counts-agree", filter_count == pair_count, counts)
     decomposition_sweep(n, tallies)
     extension_sweep(n, tallies)
     system_roundtrip_sweep(50, seed, tallies)

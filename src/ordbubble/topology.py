@@ -292,13 +292,12 @@ def gaps(relation: Relation) -> list[tuple[str, str]]:
 
 
 def order_completeness_report(order: Loset) -> CompletenessReport:
-    """Exhaustive subset sweep for suprema and infima, and a constructive
-    compactness check on the interval topology.
+    """Exhaustive subset sweep for suprema and infima.
 
     The empty subset requires a least and a greatest element (its supremum
-    is the least element, its infimum the greatest).  Compactness of a
-    finite space is witnessed, not assumed: from each canonical open cover
-    a finite subcover is actually extracted.
+    is the least element, its infimum the greatest).  ``compact`` is always
+    True: a finite space has finitely many opens, so every open cover of
+    its interval topology is already finite.
     """
     n = order.n
     if n > _COMPLETENESS_CAP:
@@ -320,22 +319,12 @@ def order_completeness_report(order: Loset) -> CompletenessReport:
     all_sups = all(sup_exists(mask) for mask in range(1 << n))
     all_infs = all(inf_exists(mask) for mask in range(1 << n))
 
-    topology = interval_topology(order.relation())
-    compact = _finite_subcover_exists(topology)
     return CompletenessReport(
         all_sups=all_sups,
         all_infs=all_infs,
-        compact=compact,
-        equivalence_holds=compact == (all_sups and all_infs),
+        compact=True,
+        equivalence_holds=all_sups and all_infs,
     )
-
-
-def _finite_subcover_exists(topology: FiniteTopology) -> bool:
-    """Extract a subcover of size <= n from the cover by all opens: the
-    least open through each point is its neighbourhood.  Any open cover of
-    a finite space admits one by the same point-wise pick."""
-    full = (1 << topology.carrier.n) - 1
-    return _union(topology.neighbourhoods, full) == full
 
 
 def continuity_check(

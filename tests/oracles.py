@@ -3,11 +3,12 @@
 Everything here quantifies explicitly over element labels with plain
 loops, deliberately avoiding the package's bitmask kernels, so the two
 routes can disagree when one of them is wrong.  The exceptions are the
-four sections at the end, each an earlier implementation kept as the
+five sections at the end, each an earlier implementation kept as the
 reference for its replacement: the enumerated topology queries for the
 neighbourhood model, the label-set projection check for its mask version,
-the bit-probe scans for the witness kernels, and the label-level loops of
-the bubble pipeline for its row-mask versions.
+the bit-probe scans for the witness kernels, the label-level loops of the
+bubble pipeline for its row-mask versions, and the per-relation sweep
+batteries for the truth-table battery.
 """
 
 from __future__ import annotations
@@ -18,6 +19,20 @@ from itertools import product
 
 from ordbubble import Carrier, EquivalenceRelation, Relation, classes, derived_parts, make_relation
 from ordbubble.errors import NotNegativelyTransitive, NotOpen, TooLarge, UnknownLabel, ValidationError
+from ordbubble.relations import (
+    _antisymmetric_witness,
+    _asymmetric_witness,
+    _complete_witness,
+    _compose_witness,
+    _irreflexive_witness,
+    _neg_transitive_witness,
+    _reflexive_witness,
+    _symmetric_witness,
+    _transitive_witness,
+    all_rows,
+    complement_rows,
+    transpose_rows,
+)
 from ordbubble.structure import (
     Bubble,
     BubbleSystem,
@@ -25,6 +40,13 @@ from ordbubble.structure import (
     bubble_compose,
     bubble_decompose,
     enumerate_preorders,
+)
+from ordbubble.sweep import (
+    SweepTallies,
+    all_equivalence_rows,
+    random_equivalence_rows,
+    random_preorder_rows,
+    random_rows,
 )
 from ordbubble.topology import (
     CheckOutcome,
@@ -949,3 +971,252 @@ def label_index_check(strict: Relation, rank) -> tuple[str, str] | None:
             if strict.has(x, y) != (rank[x] < rank[y]):
                 return (x, y)
     return None
+
+
+# ---------------------------------------------------------------------------
+# per-relation sweep batteries
+
+# The sweep's batteries as they ran before the truth tables: one call per
+# relation or (equivalence, free relation) pair, each predicate a witness
+# kernel of ``ordbubble.relations``, each outcome tallied as one instance.
+
+def _saturated(s, e, n) -> bool:
+    """Full saturation of s for e: e.s and s.e both land inside s."""
+    return _compose_witness(e, s, s, n) is None and _compose_witness(s, e, s, n) is None
+
+
+# Keyed by whether the fault is injected; an injected fault negates the
+# predicate.
+_NEGATIVELY_TRANSITIVE = {
+    False: lambda rows, n: _neg_transitive_witness(rows, n) is None,
+    True: lambda rows, n: _neg_transitive_witness(rows, n) is not None,
+}
+_SATURATED = {False: _saturated, True: lambda s, e, n: not _saturated(s, e, n)}
+
+
+
+def equivalence_free_pairs(n: int):
+    """Every (equivalence, relation outside it) pair on n elements: each
+    equivalence with every subset of the cells it leaves free."""
+    for e_rows in all_equivalence_rows(n):
+        free = [(i, j) for i in range(n) for j in range(n) if not e_rows[i] >> j & 1]
+        for code in range(1 << len(free)):
+            f_rows = [0] * n
+            for k, (i, j) in enumerate(free):
+                if code >> k & 1:
+                    f_rows[i] |= 1 << j
+            yield e_rows, tuple(f_rows)
+
+
+def relation_battery(rows: tuple[int, ...], n: int, tallies: SweepTallies, faults=frozenset()):
+    """Identities that hold for every relation, plus the preorder and
+    strict-order consequences when the hypotheses apply."""
+    negtrans = _NEGATIVELY_TRANSITIVE["negative-transitivity" in faults]
+    full = (1 << n) - 1
+    tr = transpose_rows(rows, n)
+    comp = complement_rows(rows, n)
+    comp_tr = complement_rows(tr, n)
+
+    sym_r = _symmetric_witness(rows, tr, n) is None
+    asym_r = _asymmetric_witness(rows, tr, n) is None
+    refl_r = _reflexive_witness(rows, n) is None
+    irrefl_r = _irreflexive_witness(rows, n) is None
+    antisym_r = _antisymmetric_witness(rows, tr, n) is None
+    complete_r = _complete_witness(rows, tr, n) is None
+    trans_r = _transitive_witness(rows, n) is None
+    negtrans_r = negtrans(rows, n)
+
+    # symmetry/asymmetry/transitivity transfer to the inverse and complement
+    tallies.record_one(
+        "inverse-complement-symmetry",
+        sym_r
+        == (_symmetric_witness(tr, rows, n) is None)
+        == (_symmetric_witness(comp, comp_tr, n) is None),
+        rows,
+    )
+    tallies.record_one(
+        "inverse-asymmetry-complement-completeness",
+        asym_r
+        == (_asymmetric_witness(tr, rows, n) is None)
+        == (_complete_witness(comp, comp_tr, n) is None),
+        rows,
+    )
+    tallies.record_one(
+        "transitivity-inverse-and-complement",
+        trans_r == (_transitive_witness(tr, n) is None) and trans_r == negtrans(comp, n),
+        rows,
+    )
+    tallies.record_one(
+        "negative-transitivity-inverse-and-complement",
+        negtrans_r == negtrans(tr, n) and negtrans_r == (_transitive_witness(comp, n) is None),
+        rows,
+    )
+
+    # negative transitivity upgrades to transitivity under mild shape
+    tallies.record_one(
+        "negative-transitivity-upgrades",
+        (not (refl_r and antisym_r and negtrans_r) or trans_r)
+        and (not (asym_r and negtrans_r) or trans_r),
+        rows,
+    )
+    tallies.record_one(
+        "asymmetry-reflexivity-links",
+        (not asym_r or irrefl_r)
+        and (not (irrefl_r and trans_r) or asym_r)
+        and (not complete_r or refl_r)
+        and (not (trans_r and complete_r) or negtrans_r),
+        rows,
+    )
+    tallies.record_one(
+        "strict-order-two-faces",
+        (asym_r and trans_r) == (irrefl_r and trans_r),
+        rows,
+    )
+
+    i_rows = tuple(a & b for a, b in zip(rows, tr))
+    p_rows = tuple(a & ~b for a, b in zip(rows, tr))
+    u_rows = tuple(a | b for a, b in zip(rows, tr))
+    e_rows = complement_rows(u_rows, n)
+    p_tr = transpose_rows(p_rows, n)
+
+    tallies.record_one(
+        "derived-part-identities",
+        complement_rows(i_rows, n) == tuple(a | b for a, b in zip(comp, comp_tr))
+        and tuple(a & b for a, b in zip(comp, comp_tr)) == e_rows
+        and complement_rows(p_rows, n) == tuple(a | b for a, b in zip(comp, tr))
+        and tuple(~(a | b) & full for a, b in zip(p_rows, p_tr))
+        == tuple(a | b for a, b in zip(e_rows, i_rows)),
+        rows,
+    )
+    tallies.record_one(
+        "derived-part-shapes",
+        _symmetric_witness(i_rows, transpose_rows(i_rows, n), n) is None
+        and _symmetric_witness(u_rows, transpose_rows(u_rows, n), n) is None
+        and _symmetric_witness(e_rows, transpose_rows(e_rows, n), n) is None
+        and _asymmetric_witness(p_rows, p_tr, n) is None
+        and (
+            not trans_r
+            or (_transitive_witness(i_rows, n) is None and _transitive_witness(p_rows, n) is None)
+        ),
+        rows,
+    )
+    tallies.record_one(
+        "incomparability-inherits-transitivity",
+        not negtrans_r or _transitive_witness(e_rows, n) is None,
+        rows,
+    )
+
+    if refl_r and trans_r:
+        preorder_battery(rows, tr, i_rows, p_rows, e_rows, n, full, tallies, faults)
+    if asym_r and negtrans_r:
+        strict_battery(rows, tr, e_rows, n, full, tallies, faults)
+
+
+def preorder_battery(rows, tr, i_rows, p_rows, e_rows, n, full, tallies, faults=frozenset()):
+    negtrans = _NEGATIVELY_TRANSITIVE["negative-transitivity" in faults]
+    saturated = _SATURATED["saturation" in faults]
+    p_tr = transpose_rows(p_rows, n)
+    tallies.record_one("preorder-strict-absorption", _saturated(p_rows, rows, n), rows)
+    tallies.record_one("strict-part-saturated", saturated(p_rows, i_rows, n), rows)
+    tallies.record_one("preorder-saturated-for-its-equivalence", saturated(rows, i_rows, n), rows)
+    tallies.record_one(
+        "preorder-parts-disjoint",
+        all(
+            i_rows[k] & p_rows[k] == 0
+            and i_rows[k] & p_tr[k] == 0
+            and p_rows[k] & p_tr[k] == 0
+            for k in range(n)
+        ),
+        rows,
+    )
+    # completeness characterized through the complement of the inverse
+    f_rows = complement_rows(tr, n)
+    f_tr = complement_rows(rows, n)
+    e_of_f = tuple(~(a | b) & full for a, b in zip(f_rows, f_tr))
+    complete_r = _complete_witness(rows, tr, n) is None
+    side_two = _asymmetric_witness(f_rows, f_tr, n) is None and negtrans(f_rows, n)
+    side_three = i_rows == e_of_f and p_rows == f_rows
+    tallies.record_one(
+        "completeness-three-faces",
+        complete_r == side_two == side_three,
+        rows,
+    )
+
+
+def strict_battery(rows, tr, e_rows, n, full, tallies, faults=frozenset()):
+    """Consequences for an asymmetric, negatively transitive relation: its
+    incomparability is an equivalence, the union is transitive and the
+    relation is saturated for the incomparability."""
+    saturated = _SATURATED["saturation" in faults]
+    script = tuple(a | b for a, b in zip(e_rows, rows))
+    tallies.record_one(
+        "incomparability-equivalence",
+        _reflexive_witness(e_rows, n) is None
+        and _symmetric_witness(e_rows, transpose_rows(e_rows, n), n) is None
+        and _transitive_witness(e_rows, n) is None,
+        rows,
+    )
+    tallies.record_one("incomparability-union-transitive", _transitive_witness(script, n) is None, rows)
+    tallies.record_one("strict-saturated-for-incomparability", saturated(rows, e_rows, n), rows)
+
+
+def pair_battery(e_rows, f_rows, n, tallies, faults=frozenset()):
+    """Joining an equivalence with a disjoint relation: reflexivity is
+    free, transitivity and saturation trade places, and completeness
+    matches relative completeness."""
+    saturated = _SATURATED["saturation" in faults]
+    full = (1 << n) - 1
+    r_rows = tuple(a | b for a, b in zip(e_rows, f_rows))
+    f_tr = transpose_rows(f_rows, n)
+    trans_r = _transitive_witness(r_rows, n) is None
+    f_sat_e = saturated(f_rows, e_rows, n)
+    tallies.record_one("join-reflexive", _reflexive_witness(r_rows, n) is None, (e_rows, f_rows))
+    tallies.record_one("join-transitive-saturates", not trans_r or f_sat_e, (e_rows, f_rows))
+    tallies.record_one(
+        "saturated-strict-saturates-join",
+        not f_sat_e or saturated(r_rows, e_rows, n),
+        (e_rows, f_rows),
+    )
+    tallies.record_one(
+        "join-completeness-relative",
+        (_complete_witness(r_rows, transpose_rows(r_rows, n), n) is None)
+        == all(f_rows[i] | f_tr[i] == (full & ~e_rows[i]) for i in range(n)),
+        (e_rows, f_rows),
+    )
+    if _transitive_witness(f_rows, n) is None:
+        f_sat_r = saturated(f_rows, r_rows, n)
+        agree = f_sat_r == trans_r == f_sat_e
+        tallies.record_one("saturation-transitivity-equivalence", agree, (e_rows, f_rows))
+        partitions = all(
+            e_rows[i] & f_rows[i] == 0
+            and e_rows[i] & f_tr[i] == 0
+            and f_rows[i] & f_tr[i] == 0
+            and e_rows[i] | f_rows[i] | f_tr[i] == full
+            for i in range(n)
+        )
+        tallies.record_one(
+            "partition-forces-saturation",
+            not partitions or (f_sat_r and trans_r and f_sat_e),
+            (e_rows, f_rows),
+        )
+
+
+def row_exhaustive_logic_sweep(n: int, tallies: SweepTallies, faults=frozenset()):
+    for rows in all_rows(n):
+        relation_battery(rows, n, tallies, faults)
+    for e_rows, f_rows in equivalence_free_pairs(n):
+        pair_battery(e_rows, f_rows, n, tallies, faults)
+
+
+def row_random_logic_sweep(total: int, sizes, seed: int, tallies: SweepTallies):
+    rnd = random.Random(seed)
+    sizes = tuple(sizes)
+    for _ in range(total):
+        n = rnd.choice(sizes)
+        rows = random_rows(rnd, n)
+        relation_battery(rows, n, tallies)
+        preorder = random_preorder_rows(rnd, n)
+        relation_battery(preorder, n, tallies)
+        e_rows = random_equivalence_rows(rnd, n)
+        f_rows = tuple(r & ~e for r, e in zip(random_rows(rnd, n), e_rows))
+        pair_battery(e_rows, f_rows, n, tallies)

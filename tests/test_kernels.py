@@ -1,16 +1,18 @@
 """The word-parallel witness kernels against the bit-probe scans they
 replaced (kept in ``oracles``): identical least witnesses for every
 property and saturation mode, and identical booleans for the predicates
-the sweep batteries use, on every relation with n <= 4 and on seeded
-relations and preorders up to n = 16."""
+the per-relation sweep batteries used, on every relation with n <= 4 and
+on seeded relations and preorders up to n = 16.  The sweep's truth tables
+against the kernels: bit k of each property table is set exactly when the
+kernel finds no witness in relation k."""
 
 import random
 from itertools import product
 
 import oracles
 from ordbubble import Carrier, Relation, check_properties, check_saturation
-from ordbubble import relations
-from ordbubble.sweep import _saturated, random_preorder_rows
+from ordbubble import relations, sweep
+from ordbubble.sweep import random_preorder_rows
 
 KERNELS = {
     "reflexive": lambda rows, tr, n: relations._reflexive_witness(rows, n),
@@ -42,7 +44,7 @@ def assert_saturation_matches(s_rows, e_rows, carrier):
         check = check_saturation(s, e, mode)
         expected = None if witness is None else tuple(carrier.elements[i] for i in witness)
         assert (check.holds, check.witness) == (witness is None, expected), (mode, s_rows, e_rows)
-    assert _saturated(s_rows, e_rows, n) == oracles.sweep_saturated(s_rows, e_rows, n)
+    assert oracles._saturated(s_rows, e_rows, n) == oracles.sweep_saturated(s_rows, e_rows, n)
 
 
 def test_kernels_match_scans_on_every_small_relation():
@@ -101,3 +103,33 @@ def test_check_properties_reports_the_scan_witnesses():
             assert getattr(report, flag) == (witness is None)
             if witness is not None:
                 assert report.witnesses[flag] == tuple(carrier.elements[i] for i in witness)
+
+
+def test_property_tables_match_kernels_on_every_small_relation():
+    for n in range(1, 5):
+        every = list(relations.all_rows(n))
+        T, full = sweep._pack(every, n)
+        # all_rows numbers pair (i, j) as bit (n-1-i)*n + (n-1-j) of k
+        cells = [(i, j) for i in reversed(range(n)) for j in reversed(range(n))]
+        assert (T, full) == sweep._variables(cells, n)
+        tables = {flag: getattr(sweep, f"_{flag}")(T) & full for flag in KERNELS}
+        for k, rows in enumerate(every):
+            tr = relations.transpose_rows(rows, n)
+            for flag, kernel in KERNELS.items():
+                assert (tables[flag] >> k & 1) == (kernel(rows, tr, n) is None), (flag, rows)
+
+
+def test_saturation_tables_match_kernels_on_every_equivalence():
+    for n in range(1, 5):
+        pairs = oracles.equivalence_free_pairs(n)
+        for e_rows, E, F, full in sweep._equivalence_tables(n):
+            table = sweep._saturated(F, E) & full
+            for k in range(full.bit_length()):
+                pair_e, f_rows = next(pairs)
+                assert pair_e == e_rows
+                holds = (
+                    relations._compose_witness(e_rows, f_rows, f_rows, n) is None
+                    and relations._compose_witness(f_rows, e_rows, f_rows, n) is None
+                )
+                assert (table >> k & 1) == holds, (e_rows, f_rows)
+        assert next(pairs, None) is None

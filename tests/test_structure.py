@@ -110,8 +110,9 @@ def test_join_rejects_symmetric_strict_part():
 
 def test_join_rejects_overlap_and_unsaturated():
     e = EquivalenceRelation(preorder(ABC, [("a", "b"), ("b", "a")]))
-    with pytest.raises(PairInvalid):
+    with pytest.raises(PairInvalid) as overlap:
         join_pair(e, make_relation(ABC, [("a", "b")]))  # overlaps the equivalence
+    assert overlap.value.witness == ("a", "b")
     with pytest.raises(PairInvalid):
         join_pair(e, make_relation(ABC, [("a", "c")]))  # b must follow a
 
