@@ -3,8 +3,9 @@
 The canonical stored form of a quotient is the :class:`Partition`; the
 equivalence matrix is derived on demand.  Block labels are ``B0, B1, ...``
 in order of least member under carrier order, so quotient carriers come out
-deterministic.  Quotient rows are built from block masks, and an
-equivalence is validated with its three kernels only.
+deterministic.  A quotient row is the Boolean product of a row with the
+one-bit rows that send each element to its block, and an equivalence is
+validated with its three kernels only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .relations import (
     Carrier,
     Relation,
     _first_violation,
+    _unions,
     check_saturation,
     transitive_closure,
 )
@@ -105,6 +107,11 @@ class Partition:
         """element -> block label (the canonical surjection onto the quotient)."""
         return {x: f"B{i}" for x, i in self._block_index.items()}
 
+    def _block_bits(self) -> list[int]:
+        """Per carrier position, the one-bit mask of its block."""
+        index = self._block_index
+        return [1 << index[x] for x in self.carrier.elements]
+
     def block_masks(self) -> tuple[int, ...]:
         masks = [0] * len(self.blocks)
         for x, i in self._block_index.items():
@@ -140,15 +147,19 @@ class QuotientRelation:
 def classes(equivalence: EquivalenceRelation) -> Partition:
     """The partition of the carrier into equivalence classes."""
     carrier = equivalence.carrier
-    rows = equivalence.underlying.rows
+    elems = carrier.elements
     blocks = []
     seen = 0
-    for i, label in enumerate(carrier.elements):
+    for i, mask in enumerate(equivalence.underlying.rows):
         if seen >> i & 1:
             continue
-        mask = rows[i]
         seen |= mask
-        blocks.append(tuple(e for j, e in enumerate(carrier.elements) if mask >> j & 1))
+        block = []
+        while mask:
+            low = mask & -mask
+            block.append(elems[low.bit_length() - 1])
+            mask ^= low
+        blocks.append(tuple(block))
     return Partition(carrier, tuple(blocks))
 
 
@@ -161,8 +172,8 @@ def factor_relation(relation: Relation, equivalence: EquivalenceRelation) -> Quo
     if not sat.holds:
         raise NotSaturated("relation is not saturated for the equivalence", sat.witness)
     partition = classes(equivalence)
-    masks = partition.block_masks()
-    rows = tuple(_blocks_met(relation.rows[(m & -m).bit_length() - 1], masks) for m in masks)
+    reps = [relation.rows[(m & -m).bit_length() - 1] for m in partition.block_masks()]
+    rows = tuple(_unions(reps, partition._block_bits()))
     return QuotientRelation(partition, Relation(Carrier(partition.block_labels), rows))
 
 
@@ -172,18 +183,10 @@ def weak_factor_relation(relation: Relation, equivalence: EquivalenceRelation) -
     if relation.carrier != equivalence.carrier:
         raise CarrierMismatch("relation and equivalence must share a carrier")
     partition = classes(equivalence)
-    masks = partition.block_masks()
+    met = list(_unions(relation.rows, partition._block_bits()))
     position = relation.carrier.position
-    rows = tuple(
-        reduce(and_, [_blocks_met(relation.rows[position(x)], masks) for x in block])
-        for block in partition.blocks
-    )
+    rows = tuple(reduce(and_, [met[position(x)] for x in block]) for block in partition.blocks)
     return QuotientRelation(partition, Relation(Carrier(partition.block_labels), rows))
-
-
-def _blocks_met(row: int, masks) -> int:
-    """The mask of the indices j for which ``row`` meets ``masks[j]``."""
-    return sum(1 << j for j, mask in enumerate(masks) if row & mask)
 
 
 def indifference_curves(relation: Relation) -> Partition:

@@ -25,7 +25,7 @@ from .errors import (
     InvariantViolation,
     NotAPartialOrder,
 )
-from .relations import Relation, _first_violation, _level_masks, combine, derived_parts, transpose_rows
+from .relations import Relation, _first_violation, _level_masks, combine, derived_parts
 from .structure import Loset, bubble_decompose
 
 def fusc(k: int) -> int:
@@ -109,9 +109,7 @@ def szpilrajn_step(relation: Relation, a: str, b: str) -> Relation:
         raise AlreadyComparable(f"{a!r} and {b!r} are already comparable", (a, b))
     carrier = relation.carrier
     ia, ib = carrier.position(a), carrier.position(b)
-    n = relation.n
-    cols = transpose_rows(relation.rows, n)
-    below_a = cols[ia]
+    below_a = relation._tr[ia]
     above_b = relation.rows[ib]
     rows = tuple(
         row | above_b if below_a >> i & 1 else row for i, row in enumerate(relation.rows)

@@ -43,6 +43,7 @@ from .relations import (
     _neg_transitive_witness,
     _reflexive_witness,
     _transitive_witness,
+    _unions,
     all_rows,
     check_saturation,
     combine,
@@ -347,25 +348,14 @@ def coproduct_preorder(
     block_masks = [block[label] for label in labels]
     strict_index = derived_parts(index_order).asymmetric_part
     rows = [0] * carrier.n
-    for label, higher in zip(labels, strict_index.rows):
-        higher_blocks = _union_of(higher, block_masks)
+    for label, higher_blocks in zip(labels, _unions(strict_index.rows, block_masks)):
         part = summands[label]
         where = [1 << carrier.position(x) for x in part.carrier.elements]
-        for bit, inner in zip(where, part.rows):
-            rows[bit.bit_length() - 1] = higher_blocks | _union_of(inner, where)
+        for bit, inner in zip(where, _unions(part.rows, where)):
+            rows[bit.bit_length() - 1] = higher_blocks | inner
     relation = Relation(carrier, tuple(rows))
     _require_preorder(relation)
     return relation, projection
-
-
-def _union_of(mask: int, masks) -> int:
-    """The union of ``masks[j]`` over the set bits j of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= masks[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------

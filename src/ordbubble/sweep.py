@@ -483,10 +483,10 @@ def random_logic_sweep(total: int, sizes: Iterable[int], seed: int, tallies: Swe
             tally.first_failure = min(firsts)[1]
 
 
-def decomposition_sweep(n: int, tallies: SweepTallies):
-    """Round-trip every preorder of the carrier through bubbles, or through
-    the linear factor when the strict part is not negatively transitive."""
-    for relation in enumerate_preorders(n):
+def decomposition_sweep(preorders: Iterable[Relation], tallies: SweepTallies):
+    """Round-trip every preorder given through bubbles, or through the
+    linear factor when the strict part is not negatively transitive."""
+    for relation in preorders:
         try:
             system = bubble_decompose(relation)
         except NotNegativelyTransitive as exc:
@@ -543,11 +543,12 @@ def run_sweep(n: int, seed: int = DEFAULT_SEED, faults: Iterable[str] = ()) -> d
         )
     tallies = SweepTallies()
     exhaustive_logic_sweep(n, tallies, faults)
-    filter_count = sum(1 for _ in enumerate_preorders(n))
+    preorders = list(enumerate_preorders(n))
+    filter_count = len(preorders)
     pair_count = count_split_pairs(n)
     counts = (filter_count, pair_count)
     tallies.record_one("preorder-counts-agree", filter_count == pair_count, counts)
-    decomposition_sweep(n, tallies)
+    decomposition_sweep(preorders, tallies)
     extension_sweep(n, tallies)
     system_roundtrip_sweep(50, seed, tallies)
     return {

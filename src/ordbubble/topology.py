@@ -171,8 +171,8 @@ def _strict_rows_cols(relation: Relation) -> tuple[tuple[int, ...], tuple[int, .
     """The strict part's rows and columns: row a is the right ray (a,->),
     column b the left ray (<-,b)."""
     _require_preorder(relation)
-    rows = derived_parts(relation).asymmetric_part.rows
-    return rows, transpose_rows(rows, relation.carrier.n)
+    strict = derived_parts(relation).asymmetric_part
+    return strict.rows, strict._tr
 
 
 def open_intervals(relation: Relation) -> list[Interval]:

@@ -30,6 +30,7 @@ from ordbubble.relations import (
     _symmetric_witness,
     _transitive_witness,
     all_rows,
+    closure_rows,
     complement_rows,
     transpose_rows,
 )
@@ -295,6 +296,19 @@ def shuffled_bubble_system(rnd: random.Random, n: int) -> BubbleSystem:
         bubbles.append(Bubble(block, EquivalenceRelation(make_relation(Carrier(block), pairs))))
         projection.update({x: label for x in block})
     return BubbleSystem(carrier=carrier, index=index, bubbles=tuple(bubbles), projection=projection)
+
+
+def sparse_poset(rnd: random.Random, n: int) -> Relation:
+    """A partial order on x0..x{n-1}: each pair of a shuffled chain is an
+    edge with probability 2/n, then the reflexive-transitive closure."""
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    rows = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rnd.random() < 2 / n:
+                rows[perm[i]] |= 1 << perm[j]
+    return Relation(Carrier(tuple(f"x{i}" for i in range(n))), closure_rows(tuple(rows), n))
 
 
 def seeded_systems(count=200, max_n=64, seed=5):

@@ -239,3 +239,28 @@ def test_topology_reports_do_not_drift(verb, n, tmp_path):
     code = main([verb, "--in", str(path), "--out", str(out)])
     digest = hashlib.sha256(f"{code}\n".encode() + out.read_bytes()).hexdigest()
     assert digest == REPORT_DIGESTS[verb, n]
+
+
+# sha256 of the exit code and report bytes where the word-parallel kernels
+# run: bubble relations at n = 128 and a sparse partial order at n = 48,
+# pinned before those kernels replaced the loops there
+KERNEL_PATH_DIGESTS = {
+    ("decompose", 128): "31e48864df05eaf0b48f83a4fd8fac478a145260e154413394c456d60caddd90",
+    ("utility", 128): "1f52f7aaf7b7b0a336ec2901f6b241a8716f1ba9cc73d4416f73849e86c04663",
+    ("extend", 48): "9dc97c568bcb61d27c2a630454a54428d2b9a365c3de176297674171d75b9fff",
+}
+
+
+@pytest.mark.parametrize("verb,n", sorted(KERNEL_PATH_DIGESTS))
+def test_kernel_path_reports_do_not_drift(verb, n, tmp_path):
+    if verb == "extend":
+        relation = oracles.sparse_poset(random.Random(n), n)
+    else:
+        relation = oracles.label_bubble_compose(oracles.shuffled_bubble_system(random.Random(n), n))
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(relation.to_json_dict()))
+    out = tmp_path / "report.json"
+    code = main([verb, "--in", str(path), "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(f"{code}\n".encode() + out.read_bytes()).hexdigest()
+    assert digest == KERNEL_PATH_DIGESTS[verb, n]

@@ -304,6 +304,17 @@ def test_relative_completeness_requires_equivalence():
         is_E_complete(empty_relation(AB), make_relation(AB, [("a", "b")]))
 
 
+def test_relative_completeness_reports_the_failing_equivalence_flag():
+    # reflexive and symmetric but not transitive: the witness is the
+    # transitivity one, not that of irreflexivity, which an equivalence
+    # does not need
+    chained = [(x, x) for x in "abc"] + [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]
+    with pytest.raises(NotAnEquivalence) as info:
+        is_E_complete(empty_relation(ABC), make_relation(ABC, chained))
+    assert str(info.value) == "second argument must be an equivalence relation"
+    assert info.value.witness == ("a", "b", "c")
+
+
 def test_preorder_complete_iff_strict_part_relatively_complete():
     for r in oracles.all_preorders_on(("a", "b", "c")):
         parts = derived_parts(r)

@@ -3,7 +3,8 @@ replaced (kept in ``oracles``): identical relations, systems and utilities
 on every bubble-decomposable preorder with n <= 4 and on seeded bubble
 systems up to n = 64; the utility and index checks report the oracle's
 check name and witness on tampered values, and decompose, compose and
-utility raise them; the pipeline probes no label pair; and
+utility raise them; the pipeline probes no label pair and stays within
+pinned counts of carrier-size transposes and composition kernels; and
 ``_first_violation`` runs only the kernels it is asked for."""
 
 import random
@@ -32,6 +33,7 @@ from ordbubble import (
     factor_relation,
     generalized_utility,
     make_relation,
+    szpilrajn_extend,
     szpilrajn_step,
     weak_factor_relation,
 )
@@ -221,6 +223,48 @@ def test_pipeline_makes_no_label_probes(monkeypatch):
     bubble_compose(system)
     generalized_utility(relation)
     assert calls == []
+
+
+def test_pipeline_kernel_call_budget(monkeypatch):
+    """Carrier-size transposes and composition kernels per call on one seeded
+    n = 64 system.  Each relation transposes once, and derived parts inherit
+    their transposes.  A change may lower these pins but not raise them."""
+    n = 64
+    counts = {"transpose": 0, "compose": 0}
+    transpose, compose = relations.transpose_rows, relations._compose_witness
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += args[-1] == n
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(relations, "transpose_rows", counted("transpose", transpose))
+    monkeypatch.setattr(relations, "_compose_witness", counted("compose", compose))
+
+    def spend(call):
+        counts.update(transpose=0, compose=0)
+        out = call()
+        return out, (counts["transpose"], counts["compose"])
+
+    base = oracles.label_bubble_compose(shuffled_bubble_system(random.Random(64), n))
+    relation = Relation(base.carrier, base.rows)
+    system, spent = spend(lambda: bubble_decompose(relation))
+    assert spent == (1, 4)  # was (3, 4)
+    assert spend(lambda: bubble_compose(system))[1] == (1, 1)
+    assert spend(lambda: generalized_utility(relation))[1] == (0, 4)  # reuses decompose's transpose
+    fresh = Relation(base.carrier, base.rows)
+    assert spend(lambda: generalized_utility(fresh))[1] == (1, 4)  # was (4, 4)
+
+    # a step transposes its input and its output, and an extension each
+    # step's output once: the next step reads it
+    poset = oracles.sparse_poset(random.Random(64), n)
+    i, j = next((i, j) for i in range(n) for j in range(n) if i != j and not (poset.rows[i] | poset._tr[i]) >> j & 1)
+    assert spend(lambda: szpilrajn_step(Relation(poset.carrier, poset.rows), f"x{i}", f"x{j}"))[1] == (2, 2)  # was (3, 2)
+    steps = []
+    monkeypatch.setattr(order_ext, "szpilrajn_step", lambda *args: steps.append(args) or szpilrajn_step(*args))
+    spent = spend(lambda: szpilrajn_extend(Relation(poset.carrier, poset.rows)))[1]
+    assert len(steps) > 1 and spent == (len(steps) + 1, 2 * len(steps) + 2)  # was (3 steps + 2, 2 steps + 2)
 
 
 # ---------------------------------------------------------------------------
