@@ -5,7 +5,7 @@ equivalence matrix is derived on demand.  Block labels are ``B0, B1, ...``
 in order of least member under carrier order, so quotient carriers come out
 deterministic.  A quotient row is the Boolean product of a row with the
 one-bit rows that send each element to its block, and an equivalence is
-validated with its three kernels only.
+validated with its three kernels only, unless its builder has proved it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,16 @@ class EquivalenceRelation:
         if violation := _first_violation(self.underlying, ("reflexive", "symmetric", "transitive")):
             flag, witness = violation
             raise NotAnEquivalence(f"relation is not {flag}", witness)
+
+    @classmethod
+    def _proved(cls, underlying: Relation) -> "EquivalenceRelation":
+        """One built without the three kernels, for a relation its caller has
+        proved an equivalence: ``bubble_decompose`` restricts the symmetric
+        part of a verified preorder, an equivalence, to one block, which
+        keeps it one."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "underlying", underlying)
+        return self
 
     @property
     def carrier(self) -> Carrier:

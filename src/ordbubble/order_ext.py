@@ -25,7 +25,7 @@ from .errors import (
     InvariantViolation,
     NotAPartialOrder,
 )
-from .relations import Relation, _first_violation, _level_masks, combine, derived_parts
+from .relations import Relation, _first_violation, _level_masks
 from .structure import Loset, bubble_decompose
 
 def fusc(k: int) -> int:
@@ -224,10 +224,11 @@ def generalized_utility(relation: Relation) -> UtilityAssignment:
     grid = cantor_embed(system.index)
     elems = relation.carrier.elements
     values = [grid[system.projection[x]] for x in elems]
-    # bubble_decompose has checked that this is the strict part's incomparability
-    parts = derived_parts(relation)
-    glue = combine(parts.symmetric_part, parts.incomparability, "union")
-    if violation := _utility_violation(values, parts.asymmetric_part.rows, glue.rows):
+    # the strict rows, and the glue: pairs related both ways or neither
+    rows, tr, full = relation.rows, relation._tr, (1 << relation.n) - 1
+    strict = [a & ~b for a, b in zip(rows, tr)]
+    glue = [full & ~(a ^ b) for a, b in zip(rows, tr)]
+    if violation := _utility_violation(values, strict, glue):
         check, i, j = violation
         raise InvariantViolation(check, f"({elems[i]!r}, {elems[j]!r})")
     return UtilityAssignment(values=dict(zip(elems, values)))

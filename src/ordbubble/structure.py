@@ -11,8 +11,8 @@ coproduct of preordered summands over a partially ordered index of which
 the bubble case is a specialization.
 
 Construction and verification run on row and block masks, with no
-per-pair label lookups, and each fact is checked once (the strict part's
-saturation, for one, by ``factor_relation`` alone).
+per-pair label lookups, and each fact is checked once (a decomposition,
+for one, by a single rank check over its levels of equal strict rows).
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from .errors import (
     InvariantViolation,
     NotAPreorder,
     NotNegativelyTransitive,
-    NotSaturated,
     PairInvalid,
     ParseError,
     TooLarge,
     ValidationError,
 )
-from .factor import EquivalenceRelation, Partition, classes, factor_relation, weak_factor_relation
+from .factor import EquivalenceRelation, Partition, weak_factor_relation
 from .relations import (
     Carrier,
     Relation,
@@ -43,15 +42,15 @@ from .relations import (
     _neg_transitive_witness,
     _reflexive_witness,
     _transitive_witness,
+    _union_of,
     _unions,
+    _with_transpose,
     all_rows,
     check_saturation,
     combine,
     derived_parts,
-    diagonal_rows,
     make_relation,
     preorder_witness,
-    restrict,
     transitive_closure,
 )
 
@@ -346,9 +345,9 @@ def coproduct_preorder(
     labels = index_order.carrier.elements
     block, _ = _level_masks(projection[x] for x in carrier.elements)
     block_masks = [block[label] for label in labels]
-    strict_index = derived_parts(index_order).asymmetric_part
+    strict_index = [a & ~b for a, b in zip(index_order.rows, index_order._tr)]
     rows = [0] * carrier.n
-    for label, higher_blocks in zip(labels, _unions(strict_index.rows, block_masks)):
+    for label, higher_blocks in zip(labels, _unions(strict_index, block_masks)):
         part = summands[label]
         where = [1 << carrier.position(x) for x in part.carrier.elements]
         for bit, inner in zip(where, _unions(part.rows, where)):
@@ -365,60 +364,47 @@ def bubble_decompose(relation: Relation) -> BubbleSystem:
     """Decompose a preorder with negatively transitive strict part into its
     bubbles over a linearly ordered index.
 
-    The characterising conclusions are verified on the way: the strict-part
-    incomparability is an equivalence equal to the union of the symmetric
-    part and the incomparability of the preorder, the strict part is
-    saturated for it, and the quotient is a linear order.
+    The bubbles are the levels of equal strict rows, ranked by size, and one
+    check over the levels verifies the characterising conclusions.
     """
     _require_preorder(relation)
-    parts = derived_parts(relation)
-    strict = parts.asymmetric_part
-    if (w := _neg_transitive_witness(strict.rows, strict.n)) is not None:
-        witness = tuple(relation.carrier.elements[i] for i in w)
-        raise NotNegativelyTransitive("strict part is not negatively transitive", witness)
-    glue = derived_parts(strict).incomparability
-    expected = combine(parts.symmetric_part, parts.incomparability, "union")
-    if glue != expected:
-        raise InvariantViolation(
-            "bubble-glue-identity",
-            "strict-part incomparability must equal symmetric part joined with incomparability",
-        )
-    try:
-        glue_eq = EquivalenceRelation(glue)
-    except ValidationError as exc:  # pragma: no cover - theorem guarantees this
-        raise InvariantViolation("bubble-glue-equivalence", str(exc)) from exc
-    try:
-        strict_quotient = factor_relation(strict, glue_eq)
-    except NotSaturated as exc:
-        raise InvariantViolation("bubble-strict-saturated", "strict part must be glue-saturated") from exc
-    quotient = weak_factor_relation(relation, glue_eq)
-    n_blocks = len(quotient.partition.blocks)
-    diagonal = Relation(quotient.relation.carrier, diagonal_rows(n_blocks))
-    rebuilt = combine(diagonal, strict_quotient.relation, "union")
-    if rebuilt != quotient.relation:
-        raise InvariantViolation("factor-order-shape", "quotient must be diagonal plus strict factor")
-    if any(strict_quotient.relation.rows[i] >> i & 1 for i in range(n_blocks)):
-        raise InvariantViolation("factor-order-shape", "strict factor must be irreflexive")
-    try:
-        index = Loset.from_relation(quotient.relation)
-    except ValidationError as exc:
-        raise InvariantViolation("factor-order-linear", str(exc)) from exc
-
-    partition = quotient.partition
-    order = sorted(range(n_blocks), key=lambda i: index.rank_of(f"B{i}"))
-    bubbles = []
-    projection = {}
-    for i in order:
-        block = partition.blocks[i]
-        inner = EquivalenceRelation(restrict(parts.symmetric_part, block))
-        bubbles.append(Bubble(block, inner))
-        projection.update({x: f"B{i}" for x in block})
-    return BubbleSystem(
-        carrier=relation.carrier,
-        index=index,
-        bubbles=tuple(bubbles),
-        projection=projection,
-    )
+    rows, tr, n = relation.rows, relation._tr, relation.n
+    elems = relation.carrier.elements
+    strict = tuple(a & ~b for a, b in zip(rows, tr))
+    level: dict[int, list[int]] = {}  # strict row -> its positions; block i is B{i}, by least member
+    for i, row in enumerate(strict):
+        level.setdefault(row, []).append(i)
+    by_rank = sorted(level, key=int.bit_count, reverse=True)  # rank 0: the least bubble
+    # From the top down, each level's strict row must be the union of the
+    # levels above it.  Then x is strictly below y exactly when x's rank is
+    # below y's: the strict part is the rank order, so negatively transitive.
+    # Conversely a negatively transitive strict part is a strict weak order
+    # (Fishburn 1970), whose levels pass.  The rank order gives everything
+    # else: the glue (the symmetric part joined with incomparability) is the
+    # level partition, the strict part is saturated for it, the quotient is
+    # the diagonal plus the strict rank order, and the index is linear.
+    above = 0
+    for row in reversed(by_rank):
+        if row != above:
+            if (w := _neg_transitive_witness(strict, n)) is None:
+                raise InvariantViolation("bubble-rank-levels", "strict rows must be the unions of the levels above")
+            raise NotNegativelyTransitive("strict part is not negatively transitive", tuple(elems[i] for i in w))
+        above |= sum(1 << i for i in level[row])
+    label = {row: f"B{i}" for i, row in enumerate(level)}
+    rank = {row: r for r, row in enumerate(by_rank)}
+    index = Loset(Carrier(tuple(label.values())), tuple(map(rank.__getitem__, level)))
+    # inner rows: each symmetric class compressed to its bubble's bits once
+    local = {i: 1 << k for inside in level.values() for k, i in enumerate(inside)}
+    sym = [a & b for a, b in zip(rows, tr)]
+    compressed = {row: _union_of(row, local) for row in set(sym)}
+    bubbles, projection = [], {}
+    for row in by_rank:
+        inside = level[row]
+        sub = Carrier(tuple(elems[i] for i in inside))
+        inner = tuple(compressed[sym[i]] for i in inside)
+        bubbles.append(Bubble(sub.elements, EquivalenceRelation._proved(_with_transpose(sub, inner, inner))))
+        projection.update(dict.fromkeys(sub.elements, label[row]))
+    return BubbleSystem(carrier=relation.carrier, index=index, bubbles=tuple(bubbles), projection=projection)
 
 
 def bubble_compose(system: BubbleSystem) -> Relation:
@@ -436,18 +422,18 @@ def bubble_compose(system: BubbleSystem) -> Relation:
     )
     if projection != system.projection:
         raise InvalidSystem("projection disagrees with bubble membership")
-    parts = derived_parts(relation)
-    strict = parts.asymmetric_part
-    if _neg_transitive_witness(strict.rows, strict.n) is not None:
+    rows, tr, full = relation.rows, relation._tr, (1 << relation.n) - 1
+    strict = tuple(a & ~b for a, b in zip(rows, tr))
+    if _neg_transitive_witness(strict, relation.n) is not None:
         raise InvariantViolation("strict-part-negatively-transitive", "composed strict part must be negatively transitive")
-    # the strict part's incomparability: the symmetric part and the incomparability
-    glue = combine(parts.symmetric_part, parts.incomparability, "union")
+    # the strict part's incomparability: pairs related both ways or neither
+    glue = tuple(full & ~(a ^ b) for a, b in zip(rows, tr))
     elems = system.carrier.elements
     bubble, _ = _level_masks(projection[x] for x in elems)
-    if glue.rows != tuple(bubble[projection[x]] for x in elems):
+    if glue != tuple(bubble[projection[x]] for x in elems):
         raise InvariantViolation("composed-glue-partition", "incomparability classes must be the bubbles")
     ranks = [system.index.rank_of(projection[x]) for x in elems]
-    if pair := _index_violation(strict.rows, ranks):
+    if pair := _index_violation(strict, ranks):
         x, y = (elems[i] for i in pair)
         raise InvariantViolation("strict-matches-index", f"({x!r}, {y!r})")
     return relation

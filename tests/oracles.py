@@ -3,12 +3,13 @@
 Everything here quantifies explicitly over element labels with plain
 loops, deliberately avoiding the package's bitmask kernels, so the two
 routes can disagree when one of them is wrong.  The exceptions are the
-five sections at the end, each an earlier implementation kept as the
+six sections at the end, each an earlier implementation kept as the
 reference for its replacement: the enumerated topology queries for the
 neighbourhood model, the label-set projection check for its mask version,
 the bit-probe scans for the witness kernels, the label-level loops of the
-bubble pipeline for its row-mask versions, and the per-relation sweep
-batteries for the truth-table battery.
+bubble pipeline for its row-mask versions, the quotient-route
+decomposition for the rank check over strict-row levels, and the
+per-relation sweep batteries for the truth-table battery.
 """
 
 from __future__ import annotations
@@ -17,8 +18,27 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from ordbubble import Carrier, EquivalenceRelation, Relation, classes, derived_parts, make_relation
-from ordbubble.errors import NotNegativelyTransitive, NotOpen, TooLarge, UnknownLabel, ValidationError
+from ordbubble import (
+    Carrier,
+    EquivalenceRelation,
+    Relation,
+    classes,
+    combine,
+    derived_parts,
+    factor_relation,
+    make_relation,
+    restrict,
+    weak_factor_relation,
+)
+from ordbubble.errors import (
+    InvariantViolation,
+    NotNegativelyTransitive,
+    NotOpen,
+    NotSaturated,
+    TooLarge,
+    UnknownLabel,
+    ValidationError,
+)
 from ordbubble.relations import (
     _antisymmetric_witness,
     _asymmetric_witness,
@@ -32,12 +52,14 @@ from ordbubble.relations import (
     all_rows,
     closure_rows,
     complement_rows,
+    diagonal_rows,
     transpose_rows,
 )
 from ordbubble.structure import (
     Bubble,
     BubbleSystem,
     Loset,
+    _require_preorder,
     bubble_compose,
     bubble_decompose,
     enumerate_preorders,
@@ -985,6 +1007,66 @@ def label_index_check(strict: Relation, rank) -> tuple[str, str] | None:
             if strict.has(x, y) != (rank[x] < rank[y]):
                 return (x, y)
     return None
+
+
+# ---------------------------------------------------------------------------
+# quotient-route decomposition
+
+def factor_bubble_decompose(relation: Relation) -> BubbleSystem:
+    """The earlier ``bubble_decompose``, kept as the reference for the one
+    rank check over the strict-row levels: it verifies negative
+    transitivity, the glue identity and equivalence, saturation through
+    ``factor_relation``, the shape and linearity of the quotient, and each
+    inner equivalence with its kernels."""
+    _require_preorder(relation)
+    parts = derived_parts(relation)
+    strict = parts.asymmetric_part
+    if (w := _neg_transitive_witness(strict.rows, strict.n)) is not None:
+        witness = tuple(relation.carrier.elements[i] for i in w)
+        raise NotNegativelyTransitive("strict part is not negatively transitive", witness)
+    glue = derived_parts(strict).incomparability
+    expected = combine(parts.symmetric_part, parts.incomparability, "union")
+    if glue != expected:
+        raise InvariantViolation(
+            "bubble-glue-identity",
+            "strict-part incomparability must equal symmetric part joined with incomparability",
+        )
+    try:
+        glue_eq = EquivalenceRelation(glue)
+    except ValidationError as exc:
+        raise InvariantViolation("bubble-glue-equivalence", str(exc)) from exc
+    try:
+        strict_quotient = factor_relation(strict, glue_eq)
+    except NotSaturated as exc:
+        raise InvariantViolation("bubble-strict-saturated", "strict part must be glue-saturated") from exc
+    quotient = weak_factor_relation(relation, glue_eq)
+    n_blocks = len(quotient.partition.blocks)
+    diagonal = Relation(quotient.relation.carrier, diagonal_rows(n_blocks))
+    rebuilt = combine(diagonal, strict_quotient.relation, "union")
+    if rebuilt != quotient.relation:
+        raise InvariantViolation("factor-order-shape", "quotient must be diagonal plus strict factor")
+    if any(strict_quotient.relation.rows[i] >> i & 1 for i in range(n_blocks)):
+        raise InvariantViolation("factor-order-shape", "strict factor must be irreflexive")
+    try:
+        index = Loset.from_relation(quotient.relation)
+    except ValidationError as exc:
+        raise InvariantViolation("factor-order-linear", str(exc)) from exc
+
+    partition = quotient.partition
+    order = sorted(range(n_blocks), key=lambda i: index.rank_of(f"B{i}"))
+    bubbles = []
+    projection = {}
+    for i in order:
+        block = partition.blocks[i]
+        inner = EquivalenceRelation(restrict(parts.symmetric_part, block))
+        bubbles.append(Bubble(block, inner))
+        projection.update({x: f"B{i}" for x in block})
+    return BubbleSystem(
+        carrier=relation.carrier,
+        index=index,
+        bubbles=tuple(bubbles),
+        projection=projection,
+    )
 
 
 # ---------------------------------------------------------------------------

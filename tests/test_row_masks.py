@@ -3,8 +3,9 @@ replaced (kept in ``oracles``): identical relations, systems and utilities
 on every bubble-decomposable preorder with n <= 4 and on seeded bubble
 systems up to n = 64; the utility and index checks report the oracle's
 check name and witness on tampered values, and decompose, compose and
-utility raise them; the pipeline probes no label pair and stays within
-pinned counts of carrier-size transposes and composition kernels; and
+utility raise them; the pipeline probes no label pair, validates no
+equivalence and stays within pinned counts of carrier-size transposes and
+composition kernels; and
 ``_first_violation`` runs only the kernels it is asked for."""
 
 import random
@@ -20,6 +21,7 @@ from ordbubble import (
     InvariantViolation,
     NotAPartialOrder,
     NotAnEquivalence,
+    NotNegativelyTransitive,
     Relation,
     ValidationError,
     bubble_compose,
@@ -37,8 +39,8 @@ from ordbubble import (
     szpilrajn_step,
     weak_factor_relation,
 )
-from ordbubble import factor, order_ext, relations, structure
-from ordbubble.relations import SaturationCheck, _first_violation, all_rows
+from ordbubble import order_ext, relations, structure
+from ordbubble.relations import _first_violation, all_rows
 from ordbubble.structure import Bubble, BubbleSystem, Loset, _index_violation
 from ordbubble.order_ext import _utility_violation
 
@@ -204,13 +206,17 @@ def test_compose_raises_composed_glue_partition(monkeypatch):
     assert info.value.check == "composed-glue-partition"
 
 
-def test_decompose_reports_an_unsaturated_strict_part(monkeypatch):
-    # saturation is checked once, inside factor_relation
-    relation = make_relation(Carrier(("a", "b")), [("a", "a"), ("b", "b"), ("a", "b")])
-    monkeypatch.setattr(factor, "check_saturation", lambda s, e, mode: SaturationCheck(False, mode, ("a", "b", "b")))
+def test_decompose_reports_rank_levels_without_a_witness(monkeypatch):
+    # a below b, c incomparable to both: the rank check refuses, and the
+    # scan's witness is reported; a scan that found none is an invariant
+    relation = make_relation(Carrier(("a", "b", "c")), [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b")])
+    with pytest.raises(NotNegativelyTransitive) as refused:
+        bubble_decompose(relation)
+    assert refused.value.witness == ("a", "c", "b")
+    monkeypatch.setattr(structure, "_neg_transitive_witness", lambda rows, n: None)
     with pytest.raises(InvariantViolation) as info:
         bubble_decompose(relation)
-    assert info.value.check == "bubble-strict-saturated"
+    assert info.value.check == "bubble-rank-levels"
 
 
 def test_pipeline_makes_no_label_probes(monkeypatch):
@@ -222,6 +228,21 @@ def test_pipeline_makes_no_label_probes(monkeypatch):
     bubble_decompose(relation)
     bubble_compose(system)
     generalized_utility(relation)
+    assert calls == []
+
+
+def test_pipeline_runs_no_equivalence_validations(monkeypatch):
+    # each inner equivalence is proved, not validated again with the kernels
+    calls = []
+    post_init = EquivalenceRelation.__post_init__
+    monkeypatch.setattr(EquivalenceRelation, "__post_init__", lambda self: calls.append(self) or post_init(self))
+    relation = oracles.label_bubble_compose(shuffled_bubble_system(random.Random(64), 64))
+    calls.clear()
+    oracles.factor_bubble_decompose(relation)
+    assert len(calls) == 30  # the quotient route: the glue and one per bubble
+    calls.clear()
+    bubble_decompose(relation)
+    generalized_utility(Relation(relation.carrier, relation.rows))
     assert calls == []
 
 
@@ -250,11 +271,11 @@ def test_pipeline_kernel_call_budget(monkeypatch):
     base = oracles.label_bubble_compose(shuffled_bubble_system(random.Random(64), n))
     relation = Relation(base.carrier, base.rows)
     system, spent = spend(lambda: bubble_decompose(relation))
-    assert spent == (1, 4)  # was (3, 4)
+    assert spent == (1, 1)  # was (1, 4): the preorder's transitivity only
     assert spend(lambda: bubble_compose(system))[1] == (1, 1)
-    assert spend(lambda: generalized_utility(relation))[1] == (0, 4)  # reuses decompose's transpose
+    assert spend(lambda: generalized_utility(relation))[1] == (0, 1)  # reuses decompose's transpose
     fresh = Relation(base.carrier, base.rows)
-    assert spend(lambda: generalized_utility(fresh))[1] == (1, 4)  # was (4, 4)
+    assert spend(lambda: generalized_utility(fresh))[1] == (1, 1)  # was (1, 4)
 
     # a step transposes its input and its output, and an extension each
     # step's output once: the next step reads it
