@@ -27,13 +27,14 @@ from .relations import (
 from .structure import (
     BubbleSystem,
     Loset,
+    _require_preorder,
     bourbaki_factor,
     bubble_compose,
     bubble_decompose,
     bubble_system_from_json_dict,
 )
 from .sweep import DEFAULT_SEED, run_sweep
-from .topology import connectivity_report, continuity_check, gaps, interval_topology
+from .topology import _LISTING_CAP, _require_listable, connectivity_report, continuity_check, gaps, interval_topology
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -189,6 +190,9 @@ def _run_utility(relation: Relation):
 
 
 def _run_topology(relation: Relation):
+    if relation.n > _LISTING_CAP:  # refuse the listing before generating, once the preorder check has run
+        _require_preorder(relation)
+        _require_listable(relation.n)
     topology = interval_topology(relation)
     connectivity = connectivity_report(topology)
     payload = {

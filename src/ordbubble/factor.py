@@ -129,14 +129,8 @@ class Partition:
         return tuple(masks)
 
     def associated_equivalence(self) -> EquivalenceRelation:
-        rows = [0] * self.carrier.n
-        for mask in self.block_masks():
-            m = mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                rows[i] |= mask
-                m &= m - 1
-        return EquivalenceRelation(Relation(self.carrier, tuple(rows)))
+        masks, index = self.block_masks(), self._block_index
+        return EquivalenceRelation(Relation(self.carrier, tuple(masks[index[x]] for x in self.carrier.elements)))
 
     def to_json_dict(self) -> dict:
         return {"blocks": [list(block) for block in self.blocks]}
@@ -235,17 +229,9 @@ def product_equivalence(
 
 def is_saturated_subset(labels: Iterable[str], equivalence: EquivalenceRelation) -> bool:
     """True when the subset is a union of equivalence classes."""
-    carrier = equivalence.carrier
-    mask = 0
-    for x in labels:
-        mask |= 1 << carrier.position(x)
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        if equivalence.underlying.rows[i] & ~mask:
-            return False
-        m &= m - 1
-    return True
+    carrier, rows = equivalence.carrier, equivalence.underlying.rows
+    mask = sum({1 << carrier.position(x) for x in labels})
+    return not any(rows[i] & ~mask for i in range(carrier.n) if mask >> i & 1)
 
 
 @dataclass(frozen=True)

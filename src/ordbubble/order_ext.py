@@ -25,7 +25,7 @@ from .errors import (
     InvariantViolation,
     NotAPartialOrder,
 )
-from .relations import Relation, _first_violation, _level_masks
+from .relations import Relation, _first_violation, _least_pair, _level_masks
 from .structure import Loset, bubble_decompose
 
 def fusc(k: int) -> int:
@@ -222,29 +222,32 @@ def generalized_utility(relation: Relation) -> UtilityAssignment:
     """
     system = bubble_decompose(relation)  # NotAPreorder / NotNegativelyTransitive
     grid = cantor_embed(system.index)
-    elems = relation.carrier.elements
-    values = [grid[system.projection[x]] for x in elems]
+    labels = system.index.sorted_labels()
+    # a grid that increases along the index orders the carrier as the ranks
+    # do, and order-isomorphic keys give the check the same masks
+    increasing = all(grid[a] < grid[b] for a, b in zip(labels, labels[1:]))
+    key = dict(zip(labels, range(len(labels)))) if increasing else grid
+    elems, projection = relation.carrier.elements, system.projection
     # the strict rows, and the glue: pairs related both ways or neither
     rows, tr, full = relation.rows, relation._tr, (1 << relation.n) - 1
     strict = [a & ~b for a, b in zip(rows, tr)]
     glue = [full & ~(a ^ b) for a, b in zip(rows, tr)]
-    if violation := _utility_violation(values, strict, glue):
+    if violation := _utility_violation([key[projection[x]] for x in elems], strict, glue):
         check, i, j = violation
         raise InvariantViolation(check, f"({elems[i]!r}, {elems[j]!r})")
-    return UtilityAssignment(values=dict(zip(elems, values)))
+    return UtilityAssignment(values={x: grid[projection[x]] for x in elems})
 
 
 def _utility_violation(values, strict_rows, glue_rows) -> tuple[str, int, int] | None:
     """The check name and least (x, y) at which a smaller value fails to mean
     strictly below ("utility-strict") or an equal value fails to mean glued
-    ("utility-level"), or None; ``values`` is per carrier position."""
+    ("utility-level"), or None; ``values`` is per carrier position, and any
+    order-isomorphic keys give the same answer."""
     level, above = _level_masks(values)
-    for x, (value, strict_row, glue_row) in enumerate(zip(values, strict_rows, glue_rows)):
-        strict_diff = above[value] ^ strict_row
-        diff = strict_diff | (level[value] ^ glue_row)
-        if diff:
-            y = (diff & -diff).bit_length() - 1
-            return ("utility-strict" if strict_diff >> y & 1 else "utility-level", x, y)
+    diffs = [(above[v] ^ s, level[v] ^ g) for v, s, g in zip(values, strict_rows, glue_rows)]
+    if pair := _least_pair(a | b for a, b in diffs):
+        x, y = pair
+        return ("utility-strict" if diffs[x][0] >> y & 1 else "utility-level", x, y)
     return None
 
 

@@ -11,8 +11,8 @@ coproduct of preordered summands over a partially ordered index of which
 the bubble case is a specialization.
 
 Construction and verification run on row and block masks, with no
-per-pair label lookups, and each fact is checked once (a decomposition,
-for one, by a single rank check over its levels of equal strict rows).
+per-pair label lookups, and each fact is checked once: decompose and
+compose by one O(n) bubbling check over the strict and symmetric rows.
 """
 
 from __future__ import annotations
@@ -185,6 +185,8 @@ class BubbleSystem:
                     raise InvalidSystem(
                         f"projection must send {x!r} to its bubble's index label", (x,)
                     )
+        if len(self.projection) != self.carrier.n:
+            raise InvalidSystem("projection disagrees with bubble membership")
 
     def partition_equivalence(self) -> EquivalenceRelation:
         blocks = tuple(bubble.elements for bubble in self.bubbles)
@@ -360,79 +362,93 @@ def coproduct_preorder(
 # ---------------------------------------------------------------------------
 # decomposition and composition of bubbles
 
+def _bubbling_levels(rows, tr) -> dict[int, list[int]] | None:
+    """The levels of equal strict rows, keyed by minus the row's size (rank
+    0, the least bubble, has the least key), each listing its positions, by
+    least member first; None unless the relation is a bubbling of a loset,
+    which holds exactly when (a) each strict row is the mask of the
+    positions with smaller strict rows, and (b) each symmetric row is the
+    mask of the positions sharing it, inside its level.  By (a) the strict
+    part is the rank order, negatively transitive; by (b) the symmetric part
+    is an equivalence inside the levels, so their union is a preorder.  Its
+    converse: a negatively transitive strict part of a preorder is a strict
+    weak order (Fishburn 1970), whose levels pass (a), and points related
+    both ways share their strict rows, so (b) holds."""
+    strict = [a & ~b for a, b in zip(rows, tr)]
+    sym = [a & b for a, b in zip(rows, tr)]
+    keys = [-row.bit_count() for row in strict]
+    block, smaller = _level_masks(keys)
+    share, _ = _level_masks(sym)
+    if any(row != smaller[k] or s & ~block[k] for row, s, k in zip(strict, sym, keys)):
+        return None
+    if any(row != mask for row, mask in share.items()):
+        return None
+    level: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        level.setdefault(key, []).append(i)
+    return level
+
+
 def bubble_decompose(relation: Relation) -> BubbleSystem:
     """Decompose a preorder with negatively transitive strict part into its
     bubbles over a linearly ordered index.
 
     The bubbles are the levels of equal strict rows, ranked by size, and one
-    check over the levels verifies the characterising conclusions.
+    check over the levels and the symmetric rows verifies the relation.
     """
-    _require_preorder(relation)
     rows, tr, n = relation.rows, relation._tr, relation.n
     elems = relation.carrier.elements
-    strict = tuple(a & ~b for a, b in zip(rows, tr))
-    level: dict[int, list[int]] = {}  # strict row -> its positions; block i is B{i}, by least member
-    for i, row in enumerate(strict):
-        level.setdefault(row, []).append(i)
-    by_rank = sorted(level, key=int.bit_count, reverse=True)  # rank 0: the least bubble
-    # From the top down, each level's strict row must be the union of the
-    # levels above it.  Then x is strictly below y exactly when x's rank is
-    # below y's: the strict part is the rank order, so negatively transitive.
-    # Conversely a negatively transitive strict part is a strict weak order
-    # (Fishburn 1970), whose levels pass.  The rank order gives everything
-    # else: the glue (the symmetric part joined with incomparability) is the
-    # level partition, the strict part is saturated for it, the quotient is
-    # the diagonal plus the strict rank order, and the index is linear.
-    above = 0
-    for row in reversed(by_rank):
-        if row != above:
-            if (w := _neg_transitive_witness(strict, n)) is None:
-                raise InvariantViolation("bubble-rank-levels", "strict rows must be the unions of the levels above")
-            raise NotNegativelyTransitive("strict part is not negatively transitive", tuple(elems[i] for i in w))
-        above |= sum(1 << i for i in level[row])
-    label = {row: f"B{i}" for i, row in enumerate(level)}
-    rank = {row: r for r, row in enumerate(by_rank)}
+    if (level := _bubbling_levels(rows, tr)) is None:
+        _require_preorder(relation)
+        if (w := _neg_transitive_witness(tuple(a & ~b for a, b in zip(rows, tr)), n)) is None:
+            raise InvariantViolation("bubble-rank-levels", "strict rows must be the unions of the levels above")
+        raise NotNegativelyTransitive("strict part is not negatively transitive", tuple(elems[i] for i in w))
+    by_rank = sorted(level)
+    label = {key: f"B{i}" for i, key in enumerate(level)}  # block i is B{i}, by least member
+    rank = {key: r for r, key in enumerate(by_rank)}
     index = Loset(Carrier(tuple(label.values())), tuple(map(rank.__getitem__, level)))
     # inner rows: each symmetric class compressed to its bubble's bits once
     local = {i: 1 << k for inside in level.values() for k, i in enumerate(inside)}
     sym = [a & b for a, b in zip(rows, tr)]
     compressed = {row: _union_of(row, local) for row in set(sym)}
     bubbles, projection = [], {}
-    for row in by_rank:
-        inside = level[row]
+    for key in by_rank:
+        inside = level[key]
         sub = Carrier(tuple(elems[i] for i in inside))
         inner = tuple(compressed[sym[i]] for i in inside)
         bubbles.append(Bubble(sub.elements, EquivalenceRelation._proved(_with_transpose(sub, inner, inner))))
-        projection.update(dict.fromkeys(sub.elements, label[row]))
+        projection.update(dict.fromkeys(sub.elements, label[key]))
     return BubbleSystem(carrier=relation.carrier, index=index, bubbles=tuple(bubbles), projection=projection)
 
 
 def bubble_compose(system: BubbleSystem) -> Relation:
-    """Compose a bubble system back into a preorder; verifies that the
-    strict part is negatively transitive, that incomparability under it is
-    exactly the bubble partition, and that strict comparisons agree with
-    the index order."""
-    system.validate()
-    labels = system.index.sorted_labels()
-    summands = {
-        label: bubble.inner.underlying for label, bubble in zip(labels, system.bubbles)
-    }
-    relation, projection = coproduct_preorder(
-        system.index.relation(), summands, carrier=system.carrier
-    )
-    if projection != system.projection:
-        raise InvalidSystem("projection disagrees with bubble membership")
+    """Compose a bubble system back into a preorder; verifies that it is a
+    bubbling, that incomparability under its strict part is exactly the
+    bubble partition, and that strict comparisons agree with the index
+    order.  The system was validated when it was built."""
+    carrier, index = system.carrier, system.index
+    # from the top of the index down: x's inner row, then every block above
+    rows, above = [0] * carrier.n, 0
+    for bubble in reversed(system.bubbles):
+        where = [1 << carrier.position(x) for x in bubble.elements]
+        for bit, inner in zip(where, _unions(bubble.inner.underlying.rows, where)):
+            rows[bit.bit_length() - 1] = inner | above
+        above |= sum(where)
+    relation = Relation(carrier, tuple(rows))
     rows, tr, full = relation.rows, relation._tr, (1 << relation.n) - 1
-    strict = tuple(a & ~b for a, b in zip(rows, tr))
-    if _neg_transitive_witness(strict, relation.n) is not None:
+    if _bubbling_levels(rows, tr) is None:
+        # over a chain, only an inner relation that is no equivalence gets here
+        for label in index.carrier.elements:
+            _require_preorder(system.bubbles[index.rank_of(label)].inner.underlying)
         raise InvariantViolation("strict-part-negatively-transitive", "composed strict part must be negatively transitive")
     # the strict part's incomparability: pairs related both ways or neither
     glue = tuple(full & ~(a ^ b) for a, b in zip(rows, tr))
-    elems = system.carrier.elements
+    elems, projection = carrier.elements, system.projection
     bubble, _ = _level_masks(projection[x] for x in elems)
     if glue != tuple(bubble[projection[x]] for x in elems):
         raise InvariantViolation("composed-glue-partition", "incomparability classes must be the bubbles")
-    ranks = [system.index.rank_of(projection[x]) for x in elems]
+    strict = tuple(a & ~b for a, b in zip(rows, tr))
+    ranks = [index.rank_of(projection[x]) for x in elems]
     if pair := _index_violation(strict, ranks):
         x, y = (elems[i] for i in pair)
         raise InvariantViolation("strict-matches-index", f"({x!r}, {y!r})")
@@ -443,11 +459,7 @@ def _index_violation(strict_rows, ranks) -> tuple[int, int] | None:
     """The least (x, y) at which ``strict_rows`` disagrees with "the rank of
     x is below the rank of y", or None; ``ranks`` is per carrier position."""
     _, above = _level_masks(ranks)
-    for x, (row, r) in enumerate(zip(strict_rows, ranks)):
-        diff = row ^ above[r]
-        if diff:
-            return x, (diff & -diff).bit_length() - 1
-    return None
+    return _least_pair(row ^ above[r] for row, r in zip(strict_rows, ranks))
 
 
 @dataclass(frozen=True)

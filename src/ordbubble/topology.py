@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotOpen, TooLarge, UnknownLabel, ValidationError
-from .relations import Carrier, Relation, derived_parts, transpose_rows
+from .relations import Carrier, Relation, _union_of, derived_parts, transpose_rows
 from .structure import BubbleSystem, Loset, _require_preorder, bubble_compose
 
 _LISTING_CAP = 16
@@ -95,9 +95,7 @@ class FiniteTopology:
     def opens(self) -> frozenset[int]:
         """Every open set as a bitmask, enumerated on first use as the
         unions of the distinct neighbourhoods."""
-        n = self.carrier.n
-        if n > _LISTING_CAP:
-            raise TooLarge(f"listing open sets capped at {_LISTING_CAP} elements, got {n}")
+        _require_listable(self.carrier.n)
         found = {0}
         for hood in set(self.neighbourhoods):
             found |= {m | hood for m in found}
@@ -106,6 +104,11 @@ class FiniteTopology:
     def sorted_opens(self) -> list[tuple[str, ...]]:
         """Opens ordered by size then lexicographically by label list."""
         return sorted((self.labels_of(m) for m in self.opens), key=lambda s: (len(s), s))
+
+
+def _require_listable(n: int) -> None:
+    if n > _LISTING_CAP:
+        raise TooLarge(f"listing open sets capped at {_LISTING_CAP} elements, got {n}")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -349,22 +352,12 @@ def continuity_check(
     return CheckOutcome(witness is None, witness)
 
 
-def _union(masks: Sequence[int], selected: int) -> int:
-    """The union of masks[i] over the bits i of ``selected``.  A map is the
-    list ``image_of`` of one-bit images of the source points; the image of a
-    set is its union over them, the preimage its union over their transpose."""
-    union = 0
-    for i in _bits(selected):
-        union |= masks[i]
-    return union
-
-
 def _discontinuities(image_of: Sequence[int], source: FiniteTopology, target: FiniteTopology) -> list[int]:
     """The U_f(x) that U_x is not sent into."""
     failing = []
     for hood, point in zip(source.neighbourhoods, image_of):
-        target_hood = _union(target.neighbourhoods, point)
-        if _union(image_of, hood) & ~target_hood:
+        target_hood = _union_of(point, target.neighbourhoods)
+        if _union_of(hood, image_of) & ~target_hood:
             failing.append(target_hood)
     return failing
 
@@ -378,18 +371,19 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
     continuous and open, the topology is the preimage topology, the two
     spaces agree on connectedness, and a minimal dense subset projects
     onto a dense subset."""
-    system.validate()
     relation = bubble_compose(system)
     top_a, extents_a = _interval_space(relation)
     top_i, extents_i = _interval_space(system.index.relation())
 
+    # the image of a set is the union of its points' one-bit images, the
+    # preimage the union over their transpose
     image_of = [1 << top_i.carrier.position(system.projection[x]) for x in relation.carrier.elements]
     preimage_of = transpose_rows(image_of, top_i.carrier.n)
     bijection = (
-        {_union(image_of, e) for e in extents_a} == extents_i
-        and {_union(preimage_of, k) for k in extents_i} == extents_a
-        and all(_union(preimage_of, _union(image_of, e)) == e for e in extents_a)
-        and all(_union(image_of, _union(preimage_of, k)) == k for k in extents_i)
+        {_union_of(e, image_of) for e in extents_a} == extents_i
+        and {_union_of(k, preimage_of) for k in extents_i} == extents_a
+        and all(_union_of(_union_of(e, image_of), preimage_of) == e for e in extents_a)
+        and all(_union_of(_union_of(k, preimage_of), image_of) == k for k in extents_i)
     )
 
     if system.index.n == 1:
@@ -410,7 +404,7 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
     )
 
     # a dense set meets every nonempty open, that is, every minimal one
-    projected = _union(image_of, _minimal_dense_subset(top_a))
+    projected = _union_of(_minimal_dense_subset(top_a), image_of)
     dense_image = all(projected & hood for hood in _minimal_opens(top_i))
 
     return ProjectionReport(
@@ -425,7 +419,7 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
 
 def _is_open_map(image_of: Sequence[int], source: FiniteTopology, target: FiniteTopology) -> bool:
     """Every open, so every neighbourhood, goes onto an open."""
-    return all(target._is_open_mask(_union(image_of, hood)) for hood in source.neighbourhoods)
+    return all(target._is_open_mask(_union_of(hood, image_of)) for hood in source.neighbourhoods)
 
 
 def _is_preimage_topology(image_of: Sequence[int], source: FiniteTopology, target: FiniteTopology) -> bool:
@@ -433,7 +427,7 @@ def _is_preimage_topology(image_of: Sequence[int], source: FiniteTopology, targe
     is the preimage of U_f(x)."""
     preimage_of = transpose_rows(image_of, target.carrier.n)
     return all(
-        hood == _union(preimage_of, _union(target.neighbourhoods, point))
+        hood == _union_of(_union_of(point, target.neighbourhoods), preimage_of)
         for hood, point in zip(source.neighbourhoods, image_of)
     )
 

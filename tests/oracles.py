@@ -8,7 +8,8 @@ reference for its replacement: the enumerated topology queries for the
 neighbourhood model, the label-set projection check for its mask version,
 the bit-probe scans for the witness kernels, the label-level loops of the
 bubble pipeline for its row-mask versions, the quotient-route
-decomposition for the rank check over strict-row levels, and the
+decomposition for the bubbling check over strict-row levels, with the
+utility checked on its values for the check on ranks, and the
 per-relation sweep batteries for the truth-table battery.
 """
 
@@ -55,6 +56,7 @@ from ordbubble.relations import (
     diagonal_rows,
     transpose_rows,
 )
+from ordbubble.order_ext import UtilityAssignment, _utility_violation, cantor_embed
 from ordbubble.structure import (
     Bubble,
     BubbleSystem,
@@ -1014,7 +1016,7 @@ def label_index_check(strict: Relation, rank) -> tuple[str, str] | None:
 
 def factor_bubble_decompose(relation: Relation) -> BubbleSystem:
     """The earlier ``bubble_decompose``, kept as the reference for the one
-    rank check over the strict-row levels: it verifies negative
+    bubbling check over the strict-row levels: it verifies a preorder, negative
     transitivity, the glue identity and equivalence, saturation through
     ``factor_relation``, the shape and linearity of the quotient, and each
     inner equivalence with its kernels."""
@@ -1067,6 +1069,23 @@ def factor_bubble_decompose(relation: Relation) -> BubbleSystem:
         bubbles=tuple(bubbles),
         projection=projection,
     )
+
+
+def value_generalized_utility(relation: Relation) -> UtilityAssignment:
+    """The earlier ``generalized_utility``, kept as the reference for the
+    check on integer ranks: it decomposes by the quotient route and checks
+    the ``Fraction`` values themselves against the strict and glue rows."""
+    system = factor_bubble_decompose(relation)
+    grid = cantor_embed(system.index)
+    elems = relation.carrier.elements
+    values = [grid[system.projection[x]] for x in elems]
+    rows, tr, full = relation.rows, relation._tr, (1 << relation.n) - 1
+    strict = [a & ~b for a, b in zip(rows, tr)]
+    glue = [full & ~(a ^ b) for a, b in zip(rows, tr)]
+    if violation := _utility_violation(values, strict, glue):
+        check, i, j = violation
+        raise InvariantViolation(check, f"({elems[i]!r}, {elems[j]!r})")
+    return UtilityAssignment(values=dict(zip(elems, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import oracles
+from ordbubble import cli
 from ordbubble.cli import main, parse_input
 
 
@@ -264,3 +265,28 @@ def test_kernel_path_reports_do_not_drift(verb, n, tmp_path):
     assert code == 0
     digest = hashlib.sha256(f"{code}\n".encode() + out.read_bytes()).hexdigest()
     assert digest == KERNEL_PATH_DIGESTS[verb, n]
+
+
+# sha256 of the exit code and report bytes of the topology verb past the
+# listing cap at n = 17, pinned while it still generated the topology first
+TOPOLOGY_REFUSAL_DIGESTS = {
+    "not-a-preorder": "1ccbcd598388ca476ac7cad244898c9a78cfa567b654623ddeb1fe62559733fd",
+    "chain": "411534b71ece48bcf3798b4e7de707eca3105067093a1883ed1428c421b22f85",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOPOLOGY_REFUSAL_DIGESTS))
+def test_topology_refuses_past_the_listing_cap_before_generating(case, tmp_path, monkeypatch):
+    labels = [f"x{i}" for i in range(17)]
+    if case == "chain":
+        pairs = [[x, y] for i, x in enumerate(labels) for y in labels[i:]]
+    else:  # x0 below x1 below x2, but not x0 below x2
+        pairs = [[x, x] for x in labels] + [["x0", "x1"], ["x1", "x2"]]
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps({"elements": labels, "pairs": pairs}))
+    monkeypatch.setattr(cli, "interval_topology", lambda relation: pytest.fail("generated past the cap"))
+    out = tmp_path / "report.json"
+    code = main(["topology", "--in", str(path), "--out", str(out)])
+    assert code == 1
+    digest = hashlib.sha256(f"{code}\n".encode() + out.read_bytes()).hexdigest()
+    assert digest == TOPOLOGY_REFUSAL_DIGESTS[case]

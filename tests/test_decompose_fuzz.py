@@ -1,12 +1,15 @@
-"""Metamorphic properties of ``bubble_decompose`` on drawn bubble
-relations: permuting the carrier keeps the bubbles as sets, their inner
-classes and their index order; inverting the relation keeps the bubbles
-and their inner classes and reverses the index chain."""
+"""Metamorphic properties of ``bubble_decompose`` and
+``generalized_utility`` on drawn bubble relations: permuting the carrier
+keeps the bubbles as sets, their inner classes and their index order, and
+the order of the utility values; inverting the relation keeps the bubbles
+and their inner classes, reverses the index chain and reverses the order
+of the utility values.  The values themselves may change: the Cantor
+embedding visits the index labels in carrier order."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordbubble import Carrier, Relation, bubble_decompose, transform
+from ordbubble import Carrier, Relation, bubble_decompose, generalized_utility, transform
 
 
 @st.composite
@@ -21,6 +24,21 @@ def bubble_relations(draw):
         for x in range(n)
     )
     return Relation(Carrier(tuple(f"x{i}" for i in range(n))), rows)
+
+
+def relisted(relation, labels):
+    """The same pairs over the carrier listed as ``labels``."""
+    carrier = Carrier(tuple(labels))
+    rows = [0] * relation.n
+    for x, y in relation.pairs():
+        rows[carrier.position(x)] |= 1 << carrier.position(y)
+    return Relation(carrier, tuple(rows))
+
+
+def utility_order(relation):
+    """For each pair of labels, how their utility values compare."""
+    values = generalized_utility(relation).values
+    return {(x, y): (values[x] > values[y]) - (values[x] < values[y]) for x in values for y in values}
 
 
 def shape(system):
@@ -47,3 +65,17 @@ def test_permuting_the_carrier_keeps_the_bubbles_and_their_order(relation, data)
 def test_inverting_keeps_the_bubbles_and_reverses_the_index(relation):
     inverse = bubble_decompose(transform(relation, "inverse"))
     assert shape(inverse) == shape(bubble_decompose(relation))[::-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation=bubble_relations(), data=st.data())
+def test_permuting_the_carrier_keeps_the_order_of_the_utility_values(relation, data):
+    labels = data.draw(st.permutations(relation.carrier.elements))
+    assert utility_order(relisted(relation, labels)) == utility_order(relation)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation=bubble_relations())
+def test_inverting_reverses_the_order_of_the_utility_values(relation):
+    order = utility_order(relation)
+    assert utility_order(transform(relation, "inverse")) == {pair: -sign for pair, sign in order.items()}

@@ -194,13 +194,13 @@ def test_compose_raises_strict_matches_index():
     assert oracles.label_index_check(strict, {"a": 1, "b": 0}) == ("a", "b")
 
 
-def test_compose_raises_composed_glue_partition(monkeypatch):
-    # one bubble {a, b}, composed as if a were below b
+def test_compose_raises_composed_glue_partition():
+    # one bubble {a, b} whose inner relation, proved without the kernels, is
+    # the chain a < b: a bubbling, but its incomparability is no bubble
     carrier = Carrier(("a", "b"))
-    bubble = Bubble(("a", "b"), EquivalenceRelation(make_relation(carrier, [("a", "a"), ("b", "b")])))
-    system = BubbleSystem(carrier=carrier, index=Loset.chain(("I0",)), bubbles=(bubble,), projection={"a": "I0", "b": "I0"})
     chain = make_relation(carrier, [("a", "a"), ("b", "b"), ("a", "b")])
-    monkeypatch.setattr(structure, "coproduct_preorder", lambda *args, **kwargs: (chain, {"a": "I0", "b": "I0"}))
+    bubble = Bubble(("a", "b"), EquivalenceRelation._proved(chain))
+    system = BubbleSystem(carrier=carrier, index=Loset.chain(("I0",)), bubbles=(bubble,), projection={"a": "I0", "b": "I0"})
     with pytest.raises(InvariantViolation) as info:
         bubble_compose(system)
     assert info.value.check == "composed-glue-partition"
@@ -271,11 +271,11 @@ def test_pipeline_kernel_call_budget(monkeypatch):
     base = oracles.label_bubble_compose(shuffled_bubble_system(random.Random(64), n))
     relation = Relation(base.carrier, base.rows)
     system, spent = spend(lambda: bubble_decompose(relation))
-    assert spent == (1, 1)  # was (1, 4): the preorder's transitivity only
-    assert spend(lambda: bubble_compose(system))[1] == (1, 1)
-    assert spend(lambda: generalized_utility(relation))[1] == (0, 1)  # reuses decompose's transpose
+    assert spent == (1, 0)  # was (1, 1): the bubbling check needs no product
+    assert spend(lambda: bubble_compose(system))[1] == (1, 0)  # was (1, 1)
+    assert spend(lambda: generalized_utility(relation))[1] == (0, 0)  # reuses decompose's transpose; was (0, 1)
     fresh = Relation(base.carrier, base.rows)
-    assert spend(lambda: generalized_utility(fresh))[1] == (1, 1)  # was (1, 4)
+    assert spend(lambda: generalized_utility(fresh))[1] == (1, 0)  # was (1, 1)
 
     # a step transposes its input and its output, and an extension each
     # step's output once: the next step reads it

@@ -6,6 +6,7 @@ import oracles
 from ordbubble import (
     Carrier,
     EquivalenceRelation,
+    InvalidSystem,
     NotAPreorder,
     NotNegativelyTransitive,
     PairInvalid,
@@ -29,7 +30,7 @@ from ordbubble import (
     make_relation,
     split_preorder,
 )
-from ordbubble.structure import Loset, bubble_system_from_json_dict
+from ordbubble.structure import Bubble, BubbleSystem, Loset, bubble_system_from_json_dict
 from ordbubble.sweep import random_bubble_system, random_preorder_rows
 
 ABC = Carrier(("a", "b", "c"))
@@ -426,6 +427,16 @@ def test_bubble_system_json_rejects_non_equivalence_inner():
     }
     with pytest.raises(ValidationError):
         bubble_system_from_json_dict(payload)
+
+
+def test_bubble_system_refuses_projection_keys_outside_the_carrier():
+    carrier = Carrier(("a", "b"))
+    bubbles = tuple(Bubble((x,), EquivalenceRelation(make_relation(Carrier((x,)), [(x, x)]))) for x in "ab")
+    index = Loset.chain(("I0", "I1"))
+    BubbleSystem(carrier=carrier, index=index, bubbles=bubbles, projection={"a": "I0", "b": "I1"})
+    with pytest.raises(InvalidSystem) as info:
+        BubbleSystem(carrier=carrier, index=index, bubbles=bubbles, projection={"a": "I0", "b": "I1", "z": "I0"})
+    assert str(info.value) == "projection disagrees with bubble membership"
 
 
 def test_loset_from_relation_and_back():
