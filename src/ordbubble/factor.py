@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -177,7 +178,7 @@ def factor_relation(relation: Relation, equivalence: EquivalenceRelation) -> Quo
         raise NotSaturated("relation is not saturated for the equivalence", sat.witness)
     partition = classes(equivalence)
     reps = [relation.rows[(m & -m).bit_length() - 1] for m in partition.block_masks()]
-    rows = tuple(_unions(reps, partition._block_bits()))
+    rows = _unions(reps, partition._block_bits())
     return QuotientRelation(partition, Relation(Carrier(partition.block_labels), rows))
 
 
@@ -187,7 +188,7 @@ def weak_factor_relation(relation: Relation, equivalence: EquivalenceRelation) -
     if relation.carrier != equivalence.carrier:
         raise CarrierMismatch("relation and equivalence must share a carrier")
     partition = classes(equivalence)
-    met = list(_unions(relation.rows, partition._block_bits()))
+    met = _unions(relation.rows, partition._block_bits())
     position = relation.carrier.position
     rows = tuple(reduce(and_, [met[position(x)] for x in block]) for block in partition.blocks)
     return QuotientRelation(partition, Relation(Carrier(partition.block_labels), rows))
@@ -238,10 +239,13 @@ def is_saturated_subset(labels: Iterable[str], equivalence: EquivalenceRelation)
 class FactorThrough:
     """A map factored through the canonical surjection onto the quotient."""
 
-    on_blocks: dict[str, str]
+    on_blocks: Mapping[str, str]
     surjective: bool
     kernel_is_equivalence: bool
     bijective: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "on_blocks", MappingProxyType(dict(self.on_blocks)))
 
 
 def factor_through(

@@ -28,7 +28,8 @@ and the oracle the fast paths are tested against.
   "Four Russians" method (Arlazarov, Dinic, Kronrod and Faradzev, 1970).
   ``_compose_witness`` accepts when every product row lies inside its row
   of ``c``, and otherwise scans from the first row that does not.  The
-  quotient and coproduct rows are products too.
+  quotient and coproduct rows are products too, and so are a finite
+  topology's neighbourhoods and map checks in ``topology``.
 - Negative transitivity is accepted when the rows are nested and each row
   holds the positions whose rows are smaller, as the rows of a strict weak
   order are (Fishburn, *Utility Theory for Decision Making*, 1970);
@@ -401,11 +402,11 @@ def _tables_pay(a, b) -> bool:
     return 32 * sum(map(int.bit_count, a)) >= len(b) * (320 + len(a))
 
 
-def _unions(a, b) -> Iterable[int]:
+def _unions(a, b) -> list[int]:
     """The rows of a.b, by ``_product`` where the tables pay, else by the
     bit loop."""
     if len(b) >= _FAST_MIN_N and _tables_pay(a, b):
-        return _product(a, b)
+        return list(_product(a, b))
     return [_union_of(row, b) for row in a]
 
 

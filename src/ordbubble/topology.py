@@ -1,12 +1,14 @@
 """Finite interval topologies over a preorder's strict part.
 
 A finite topology is stored as its n minimal neighbourhoods, one bitmask
-per point; its open sets are exactly their unions (Alexandrov), so every
-query here works on the masks.  The interval topology is generated by its
-2n rays, since a bounded interval (a, b) is the right ray of a met with the
-left ray of b.  Only listing the open sets enumerates them, and that
-listing is capped at 16 elements.  Empty intervals stay in listings
-(flagged) because gap detection is defined by their emptiness.
+per point: the rows of its specialization preorder, whose unions are the
+open sets (Alexandrov 1937; Stong, "Finite topological spaces", 1966).
+Generation, validation and the map checks are products and witness scans
+of the ``relations`` row kernels.  The interval topology is generated by
+its 2n rays: a bounded interval (a, b) is the right ray of a met with the
+left ray of b.  Only listing the open sets enumerates them, capped at 16
+elements.  Empty intervals stay in listings (flagged) because gap
+detection is defined by their emptiness.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotOpen, TooLarge, UnknownLabel, ValidationError
-from .relations import Carrier, Relation, _union_of, derived_parts, transpose_rows
+from .relations import Carrier, Relation, _compose_witness, _reflexive_witness, _union_of, _unions, transpose_rows
 from .structure import BubbleSystem, Loset, _require_preorder, bubble_compose
 
 _LISTING_CAP = 16
@@ -67,13 +69,15 @@ class FiniteTopology:
         n = self.carrier.n
         if len(hoods) != n:
             raise ValidationError("a topology needs one neighbourhood per element")
+        # preorder rows: reflexive, and transitive before the first point
+        # that fails, so the least failing point names the refusal
         full = (1 << n) - 1
-        for i, hood in enumerate(hoods):
-            if hood & ~full or not hood >> i & 1:
-                raise ValidationError("a neighbourhood must contain its point and stay in the carrier")
-            for j in _bits(hood):
-                if hoods[j] & ~hood:
-                    raise ValidationError("neighbourhoods must nest: j in U_i needs U_j within U_i")
+        stray = next((i for i, hood in enumerate(hoods) if hood & ~full), n)
+        first = min(stray, (_reflexive_witness(hoods, n) or (n,))[0])
+        if _compose_witness(hoods[:first], hoods, hoods[:first], n) is not None:
+            raise ValidationError("neighbourhoods must nest: j in U_i needs U_j within U_i")
+        if first < n:
+            raise ValidationError("a neighbourhood must contain its point and stay in the carrier")
 
     def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
@@ -88,8 +92,7 @@ class FiniteTopology:
         return self._is_open_mask(self.mask_of(labels))
 
     def _is_open_mask(self, mask: int) -> bool:
-        hoods = self.neighbourhoods
-        return all(hoods[i] & ~mask == 0 for i in _bits(mask))
+        return _union_of(mask, self.neighbourhoods) == mask
 
     @cached_property
     def opens(self) -> frozenset[int]:
@@ -124,9 +127,12 @@ def _least(topology: FiniteTopology, masks: Iterable[int]) -> tuple[str, ...] | 
 
 def _minimal_opens(topology: FiniteTopology) -> set[int]:
     """The minimal nonempty opens: the U_i on which every member has the
-    same neighbourhood.  They are pairwise disjoint."""
+    same neighbourhood.  Since j in U_i puts U_j within U_i, that is U_i
+    within column i: each j in U_i has i in U_j.  They are pairwise
+    disjoint."""
     hoods = topology.neighbourhoods
-    return {hood for hood in hoods if all(hoods[j] == hood for j in _bits(hood))}
+    cols = transpose_rows(hoods, topology.carrier.n)
+    return {hood for hood, col in zip(hoods, cols) if not hood & ~col}
 
 
 @dataclass(frozen=True)
@@ -174,8 +180,8 @@ def _strict_rows_cols(relation: Relation) -> tuple[tuple[int, ...], tuple[int, .
     """The strict part's rows and columns: row a is the right ray (a,->),
     column b the left ray (<-,b)."""
     _require_preorder(relation)
-    strict = derived_parts(relation).asymmetric_part
-    return strict.rows, strict._tr
+    rows, tr = relation.rows, relation._tr
+    return tuple(a & ~b for a, b in zip(rows, tr)), tuple(b & ~a for a, b in zip(rows, tr))
 
 
 def open_intervals(relation: Relation) -> list[Interval]:
@@ -199,35 +205,31 @@ def open_intervals(relation: Relation) -> list[Interval]:
     return out
 
 
-def _interval_space(relation: Relation) -> tuple[FiniteTopology, set[int]]:
-    """The interval topology and its nonempty extents as masks: every ray,
-    and each bounded (a, b) as rows[a] & cols[b]."""
+def _interval_space(relation: Relation) -> tuple[FiniteTopology, list[int]]:
+    """The interval topology and its distinct nonempty extents as masks:
+    every ray, and each bounded (a, b) as rows[a] & cols[b]."""
     rows, cols = _strict_rows_cols(relation)
     extents = {row & cols[j] for row in rows for j in _bits(row)}
     extents.update(rows, cols)
     extents.discard(0)
-    return _generate(relation.carrier, [*rows, *cols]), extents
+    return _generate(relation.carrier, [*rows, *cols]), list(extents)
 
 
 def _generate(carrier: Carrier, subbase: Sequence[int]) -> FiniteTopology:
-    """The topology generated by the subbase masks.  The neighbourhood of a
-    point is the intersection of the subbase masks through it, or the whole
-    carrier when none passes through it; every mask is verified open."""
-    hoods = [(1 << carrier.n) - 1] * carrier.n
-    for mask in subbase:
-        for i in _bits(mask):
-            hoods[i] &= mask
-    topology = FiniteTopology(carrier, tuple(hoods))
-    for mask in subbase:
-        if not topology._is_open_mask(mask):
-            raise ValidationError("subbase extent escaped its own topology")
+    """The topology generated by the subbase masks.  U_i is the meet of the
+    masks through i, or the whole carrier: the complement of the product of
+    the membership transpose with the complemented masks.  Every mask is
+    verified open, by one composition accept."""
+    n, full = carrier.n, (1 << carrier.n) - 1
+    outside = _unions(transpose_rows(subbase, n), [full & ~mask for mask in subbase])
+    topology = FiniteTopology(carrier, tuple(full & ~mask for mask in outside))
+    if _compose_witness(subbase, topology.neighbourhoods, subbase, n) is not None:
+        raise ValidationError("subbase extent escaped its own topology")
     return topology
 
 
 def generate_topology(carrier: Carrier, subbase: Sequence[Interval]) -> FiniteTopology:
-    """The topology generated by the subbase.  The neighbourhood of a point
-    is the intersection of the subbase extents through it, or the whole
-    carrier when none passes through it."""
+    """The topology generated by the subbase intervals' extents."""
     return _generate(
         carrier, [sum({1 << carrier.position(x) for x in interval.extent}) for interval in subbase]
     )
@@ -264,20 +266,16 @@ def connectivity_report(topology: FiniteTopology) -> ConnectivityReport:
     """Connected iff no proper nonempty open has an open complement.
 
     The components are those of the graph linking each point to its
-    neighbourhood; the least clopen witness (size, then labels) is the
-    least component.
+    neighbourhood, grown through the neighbourhood rows and columns; the
+    least clopen witness (size, then labels) is the least component.
     """
-    hoods = topology.neighbourhoods
-    components = []
-    left = (1 << topology.carrier.n) - 1
+    hoods, n = topology.neighbourhoods, topology.carrier.n
+    links = [hood | col for hood, col in zip(hoods, transpose_rows(hoods, n))]
+    components, left = [], (1 << n) - 1
     while left:
-        component = left & -left
-        grown = None
+        component, grown = left & -left, 0
         while grown != component:
-            grown = component
-            for hood in hoods:
-                if hood & component:
-                    component |= hood
+            grown, component = component, _union_of(component, links)
         components.append(component)
         left &= ~component
     witness = _least(topology, components) if len(components) > 1 else None
@@ -354,12 +352,8 @@ def continuity_check(
 
 def _discontinuities(image_of: Sequence[int], source: FiniteTopology, target: FiniteTopology) -> list[int]:
     """The U_f(x) that U_x is not sent into."""
-    failing = []
-    for hood, point in zip(source.neighbourhoods, image_of):
-        target_hood = _union_of(point, target.neighbourhoods)
-        if _union_of(hood, image_of) & ~target_hood:
-            failing.append(target_hood)
-    return failing
+    images = _unions(source.neighbourhoods, image_of)
+    return [hood for image, hood in zip(images, _unions(image_of, target.neighbourhoods)) if image & ~hood]
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +369,14 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
     top_a, extents_a = _interval_space(relation)
     top_i, extents_i = _interval_space(system.index.relation())
 
-    # the image of a set is the union of its points' one-bit images, the
-    # preimage the union over their transpose
+    # images of sets are their product with the one-bit image rows, and
+    # preimages their product with the transpose.  The extents correspond
+    # when A's images are I's extents and each comes back to itself; then
+    # I's preimages are A's extents, and they come back too.
     image_of = [1 << top_i.carrier.position(system.projection[x]) for x in relation.carrier.elements]
     preimage_of = transpose_rows(image_of, top_i.carrier.n)
-    bijection = (
-        {_union_of(e, image_of) for e in extents_a} == extents_i
-        and {_union_of(k, preimage_of) for k in extents_i} == extents_a
-        and all(_union_of(_union_of(e, image_of), preimage_of) == e for e in extents_a)
-        and all(_union_of(_union_of(k, preimage_of), image_of) == k for k in extents_i)
-    )
+    images = _unions(extents_a, image_of)
+    bijection = set(images) == set(extents_i) and _unions(images, preimage_of) == extents_a
 
     if system.index.n == 1:
         # a single bubble has no nonempty intervals; both spaces are the
@@ -393,7 +385,7 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
         base = all(hood == full for hood in top_a.neighbourhoods)
     else:
         # every extent is open, and a base is one holding every neighbourhood
-        base = set(top_a.neighbourhoods) <= extents_a
+        base = set(top_a.neighbourhoods) <= set(extents_a)
 
     continuous = not _discontinuities(image_of, top_a, top_i)
     open_map = _is_open_map(image_of, top_a, top_i)
@@ -419,17 +411,15 @@ def projection_check(system: BubbleSystem) -> ProjectionReport:
 
 def _is_open_map(image_of: Sequence[int], source: FiniteTopology, target: FiniteTopology) -> bool:
     """Every open, so every neighbourhood, goes onto an open."""
-    return all(target._is_open_mask(_union_of(hood, image_of)) for hood in source.neighbourhoods)
+    images = _unions(source.neighbourhoods, image_of)
+    return _unions(images, target.neighbourhoods) == images
 
 
 def _is_preimage_topology(image_of: Sequence[int], source: FiniteTopology, target: FiniteTopology) -> bool:
     """The opens of the source are the preimages of the target's: each U_x
     is the preimage of U_f(x)."""
     preimage_of = transpose_rows(image_of, target.carrier.n)
-    return all(
-        hood == _union_of(_union_of(point, target.neighbourhoods), preimage_of)
-        for hood, point in zip(source.neighbourhoods, image_of)
-    )
+    return _unions(_unions(image_of, target.neighbourhoods), preimage_of) == list(source.neighbourhoods)
 
 
 def _minimal_dense_subset(topology: FiniteTopology) -> int:

@@ -3,9 +3,10 @@
 Everything here quantifies explicitly over element labels with plain
 loops, deliberately avoiding the package's bitmask kernels, so the two
 routes can disagree when one of them is wrong.  The exceptions are the
-six sections at the end, each an earlier implementation kept as the
+seven sections at the end, each an earlier implementation kept as the
 reference for its replacement: the enumerated topology queries for the
 neighbourhood model, the label-set projection check for its mask version,
+the loop topology generation and validation for their row-kernel versions,
 the bit-probe scans for the witness kernels, the label-level loops of the
 bubble pipeline for its row-mask versions, the quotient-route
 decomposition for the bubbling check over strict-row levels, with the
@@ -332,6 +333,26 @@ def sparse_poset(rnd: random.Random, n: int) -> Relation:
         for j in range(i + 1, n):
             if rnd.random() < 2 / n:
                 rows[perm[i]] |= 1 << perm[j]
+    return Relation(Carrier(tuple(f"x{i}" for i in range(n))), closure_rows(tuple(rows), n))
+
+
+def ordinal_sum(rnd: random.Random, n: int) -> Relation:
+    """A partial order on x0..x{n-1}: shuffled blocks of 1-6 points, each a
+    random poset, every block strictly below the blocks drawn before it."""
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    rows, above = [0] * n, 0
+    while perm:
+        size = rnd.randint(1, min(6, len(perm)))
+        block, perm = perm[:size], perm[size:]
+        inner = [1 << x for x in block]
+        for a in range(size):
+            for b in range(a + 1, size):
+                if rnd.random() < 0.4:
+                    inner[a] |= 1 << block[b]
+        for x, row in zip(block, inner):
+            rows[x] = row | above
+        above |= sum(1 << x for x in block)
     return Relation(Carrier(tuple(f"x{i}" for i in range(n))), closure_rows(tuple(rows), n))
 
 
@@ -702,6 +723,47 @@ def label_projection_check(system: BubbleSystem) -> ProjectionReport:
         connectedness_match=connected_match,
         dense_image=dense_image,
     )
+
+
+# ---------------------------------------------------------------------------
+# loop topology generation and validation
+
+# The earlier neighbourhood generation, which meets every subbase mask into
+# the neighbourhood of each point it holds, and the earlier validation,
+# which tests each point's nesting one bit at a time, kept as the reference
+# for the products and witness kernels in ``ordbubble.topology``.
+
+def _set_bits(mask):
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def loop_validate(n: int, hoods) -> None:
+    """Raise the ValidationError the loop raised for these neighbourhoods."""
+    if len(hoods) != n:
+        raise ValidationError("a topology needs one neighbourhood per element")
+    full = (1 << n) - 1
+    for i, hood in enumerate(hoods):
+        if hood & ~full or not hood >> i & 1:
+            raise ValidationError("a neighbourhood must contain its point and stay in the carrier")
+        for j in _set_bits(hood):
+            if hoods[j] & ~hood:
+                raise ValidationError("neighbourhoods must nest: j in U_i needs U_j within U_i")
+
+
+def loop_generate(n: int, subbase) -> tuple[int, ...]:
+    """The neighbourhoods generated by the subbase masks, validated by the
+    loop, with every mask checked open point by point."""
+    hoods = [(1 << n) - 1] * n
+    for mask in subbase:
+        for i in _set_bits(mask):
+            hoods[i] &= mask
+    loop_validate(n, hoods)
+    for mask in subbase:
+        if any(hoods[i] & ~mask for i in _set_bits(mask)):
+            raise ValidationError("subbase extent escaped its own topology")
+    return tuple(hoods)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,26 @@ keeps the bubbles as sets, their inner classes and their index order, and
 the order of the utility values; inverting the relation keeps the bubbles
 and their inner classes, reverses the index chain and reverses the order
 of the utility values.  The values themselves may change: the Cantor
-embedding visits the index labels in carrier order."""
+embedding visits the index labels in carrier order.  Permuting the carrier
+also keeps the eight property flags of a relation with a few bits flipped,
+the projection report of a bubble system and the connectivity verdict of
+an interval topology."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordbubble import Carrier, Relation, bubble_decompose, generalized_utility, transform
+from ordbubble import (
+    Carrier,
+    Relation,
+    bubble_decompose,
+    check_properties,
+    connectivity_report,
+    generalized_utility,
+    interval_topology,
+    projection_check,
+    transform,
+    transitive_closure,
+)
 
 
 @st.composite
@@ -24,6 +38,16 @@ def bubble_relations(draw):
         for x in range(n)
     )
     return Relation(Carrier(tuple(f"x{i}" for i in range(n))), rows)
+
+
+@st.composite
+def tampered_relations(draw):
+    """A drawn bubble relation with up to three bits flipped."""
+    relation = draw(bubble_relations())
+    n, rows = relation.n, list(relation.rows)
+    for x, y in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        rows[x] ^= 1 << y
+    return Relation(relation.carrier, tuple(rows))
 
 
 def relisted(relation, labels):
@@ -79,3 +103,29 @@ def test_permuting_the_carrier_keeps_the_order_of_the_utility_values(relation, d
 def test_inverting_reverses_the_order_of_the_utility_values(relation):
     order = utility_order(relation)
     assert utility_order(transform(relation, "inverse")) == {pair: -sign for pair, sign in order.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation=tampered_relations(), data=st.data())
+def test_permuting_the_carrier_keeps_the_property_flags(relation, data):
+    labels = data.draw(st.permutations(relation.carrier.elements))
+    assert check_properties(relisted(relation, labels)).flags() == check_properties(relation).flags()
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation=bubble_relations(), data=st.data())
+def test_permuting_the_carrier_keeps_the_projection_report(relation, data):
+    labels = data.draw(st.permutations(relation.carrier.elements))
+    report = projection_check(bubble_decompose(relation))
+    assert projection_check(bubble_decompose(relisted(relation, labels))) == report
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation=tampered_relations(), data=st.data())
+def test_permuting_the_carrier_keeps_the_connectivity_verdict(relation, data):
+    # the reflexive-transitive closure of the drawn relation, a preorder
+    rows = tuple(row | 1 << i for i, row in enumerate(relation.rows))
+    preorder = transitive_closure(Relation(relation.carrier, rows))
+    labels = data.draw(st.permutations(relation.carrier.elements))
+    verdict = connectivity_report(interval_topology(preorder)).connected
+    assert connectivity_report(interval_topology(relisted(preorder, labels))).connected == verdict

@@ -327,6 +327,9 @@ def test_factor_through_identity():
     result = factor_through({x: x for x in ABC.elements}, e, r, r)
     assert result.on_blocks == {"B0": "a", "B1": "b", "B2": "c"}
     assert result.surjective and result.bijective
+    with pytest.raises(TypeError):
+        result.on_blocks["B0"] = "z"
+    assert result.on_blocks["B0"] == "a"
 
 
 def test_factor_through_rejects_class_splitting_maps():

@@ -4,8 +4,8 @@ on every bubble-decomposable preorder with n <= 4 and on seeded bubble
 systems up to n = 64; the utility and index checks report the oracle's
 check name and witness on tampered values, and decompose, compose and
 utility raise them; the pipeline probes no label pair, validates no
-equivalence and stays within pinned counts of carrier-size transposes and
-composition kernels; and
+equivalence and, with the topology calls, stays within pinned counts of
+carrier-size transposes and composition kernels; and
 ``_first_violation`` runs only the kernels it is asked for."""
 
 import random
@@ -34,12 +34,14 @@ from ordbubble import (
     enumerate_preorders,
     factor_relation,
     generalized_utility,
+    interval_topology,
     make_relation,
+    projection_check,
     szpilrajn_extend,
     szpilrajn_step,
     weak_factor_relation,
 )
-from ordbubble import order_ext, relations, structure
+from ordbubble import cli, order_ext, relations, structure, topology
 from ordbubble.relations import _first_violation, all_rows
 from ordbubble.structure import Bubble, BubbleSystem, Loset, _index_violation
 from ordbubble.order_ext import _utility_violation
@@ -260,8 +262,9 @@ def test_pipeline_kernel_call_budget(monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(relations, "transpose_rows", counted("transpose", transpose))
-    monkeypatch.setattr(relations, "_compose_witness", counted("compose", compose))
+    for module in (relations, topology):
+        monkeypatch.setattr(module, "transpose_rows", counted("transpose", transpose))
+        monkeypatch.setattr(module, "_compose_witness", counted("compose", compose))
 
     def spend(call):
         counts.update(transpose=0, compose=0)
@@ -276,6 +279,15 @@ def test_pipeline_kernel_call_budget(monkeypatch):
     assert spend(lambda: generalized_utility(relation))[1] == (0, 0)  # reuses decompose's transpose; was (0, 1)
     fresh = Relation(base.carrier, base.rows)
     assert spend(lambda: generalized_utility(fresh))[1] == (1, 0)  # was (1, 1)
+
+    # a topology: the relation's transpose and the subbase's membership
+    # transpose; the preorder check, the neighbourhoods' transitivity and
+    # the subbase-open accept.  The projection check adds the transposes of
+    # the neighbourhoods for connectivity and for the minimal opens; the
+    # index side is smaller than n.  The utility verb's grid chain is too.
+    assert spend(lambda: interval_topology(Relation(base.carrier, base.rows)))[1] == (2, 3)
+    assert spend(lambda: projection_check(system))[1] == (4, 3)
+    assert spend(lambda: cli._run_utility(Relation(base.carrier, base.rows)))[1] == (2, 3)
 
     # a step transposes its input and its output, and an extension each
     # step's output once: the next step reads it

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -29,12 +30,16 @@ from ordbubble import (
     open_intervals,
     order_completeness_report,
     projection_check,
+    transform,
     transitive_closure,
 )
 from ordbubble.cli import main
 from ordbubble.errors import ValidationError
 from ordbubble.structure import enumerate_preorders
+from ordbubble import topology
+from ordbubble.relations import Relation, closure_rows
 from ordbubble.topology import (
+    _generate,
     _is_open_map,
     _is_preimage_topology,
     _minimal_dense_subset,
@@ -556,3 +561,83 @@ def test_listing_opens_costs_per_open(monkeypatch):
     assert generate_topology(Carrier(labels), []).sorted_opens() == [(), labels]
     assert probes == []
     assert len(interval_topology(chain(labels[:14])).opens) == 1 << 14
+
+
+# ---------------------------------------------------------------------------
+# the row kernels against the loops they replaced (kept in oracles.py)
+
+def rays(relation):
+    """The strict part's rows and columns, from the four derived parts."""
+    strict = derived_parts(relation).asymmetric_part
+    return [*strict.rows, *transform(strict, "inverse").rows]
+
+
+def refusal(build):
+    """The class and message a call raises, or None."""
+    try:
+        build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_generation_matches_the_loop_on_every_small_preorder():
+    relations = [r for n in (1, 2, 3, 4) for r in enumerate_preorders(n)]
+    assert len(relations) == 389
+    for relation in relations:
+        expected = oracles.loop_generate(relation.n, rays(relation))
+        assert interval_topology(relation).neighbourhoods == expected, relation.rows
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 256, 1024])
+def test_generation_matches_the_loop_on_seeded_and_tampered_subbases(n):
+    rnd = random.Random(n)
+    for relation in (
+        bubble_compose(oracles.shuffled_bubble_system(rnd, n)),
+        oracles.ordinal_sum(rnd, n),
+        oracles.sparse_poset(rnd, n),
+    ):
+        subbase = rays(relation)
+        assert interval_topology(relation).neighbourhoods == oracles.loop_generate(n, subbase)
+        k = rnd.randrange(2 * n)
+        subbase[k] ^= 1 << rnd.randrange(n)
+        assert _generate(relation.carrier, subbase).neighbourhoods == oracles.loop_generate(n, subbase)
+
+
+def test_validation_refuses_as_the_loop_on_every_small_tuple():
+    # out-of-range and negative masks included, and tuples of the wrong length
+    for n in (1, 2, 3):
+        carrier = Carrier(tuple(f"e{i}" for i in range(n)))
+        values = range(-3, (1 << n) + 3)
+        tuples = [*product(values, repeat=n), *product(values, repeat=n - 1), (1,) * (n + 1)]
+        refused = 0
+        for hoods in tuples:
+            expected = refusal(lambda: oracles.loop_validate(n, hoods))
+            assert refusal(lambda: FiniteTopology(carrier, hoods)) == expected, hoods
+            refused += expected is not None
+        assert 0 < refused < len(tuples)
+
+
+def tampered(relation, rnd):
+    """One bit of the relation flipped, then closed into a preorder again."""
+    n = relation.n
+    rows = list(relation.rows)
+    rows[rnd.randrange(n)] ^= 1 << rnd.randrange(n)
+    return Relation(relation.carrier, closure_rows(tuple(row | 1 << i for i, row in enumerate(rows)), n))
+
+
+def test_projection_reports_match_the_label_set_path_on_tampered_compositions(monkeypatch):
+    # the system stays valid and its composition is replaced: the round trip
+    # must fail wherever an extent is no longer saturated
+    rnd = random.Random(67)
+    systems = [bubble_decompose(r) for r in oracles.decomposable_preorders() if r.n <= 3]
+    systems += oracles.seeded_systems(40, 40, seed=71)
+    unsaturated = 0
+    for system in systems:
+        composed = tampered(bubble_compose(system), rnd)
+        monkeypatch.setattr(topology, "bubble_compose", lambda _: composed)
+        monkeypatch.setattr(oracles, "bubble_compose", lambda _: composed)
+        report = projection_check(system)
+        assert report == oracles.label_projection_check(system)
+        unsaturated += not report.extent_bijection
+    assert unsaturated > len(systems) // 4
