@@ -27,14 +27,16 @@ from .relations import (
 from .structure import (
     BubbleSystem,
     Loset,
-    _require_preorder,
     bourbaki_factor,
     bubble_compose,
     bubble_decompose,
     bubble_system_from_json_dict,
 )
 from .sweep import DEFAULT_SEED, run_sweep
-from .topology import _LISTING_CAP, _require_listable, connectivity_report, continuity_check, gaps, interval_topology
+from .topology import (
+    _gaps, _generate, _require_listable, _sorted_open_masks, _strict_rows_cols,
+    connectivity_report, continuity_check, interval_topology,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -190,15 +192,14 @@ def _run_utility(relation: Relation):
 
 
 def _run_topology(relation: Relation):
-    if relation.n > _LISTING_CAP:  # refuse the listing before generating, once the preorder check has run
-        _require_preorder(relation)
-        _require_listable(relation.n)
-    topology = interval_topology(relation)
+    rows, cols = _strict_rows_cols(relation)  # the verb's one preorder check
+    _require_listable(relation.n)  # refuse the listing before generating
+    topology = _generate(relation.carrier, [*rows, *cols])
     connectivity = connectivity_report(topology)
     payload = {
-        "opens": [list(labels) for labels in topology.sorted_opens()],
+        "opens": (_sorted_open_masks(topology), relation.carrier.elements),  # written by _emit
         "connected": connectivity.connected,
-        "gaps": [list(pair) for pair in gaps(relation)],
+        "gaps": [list(pair) for pair in _gaps(relation.carrier.elements, rows, cols)],
     }
     if connectivity.clopen_witness is not None:
         payload["clopen_witness"] = list(connectivity.clopen_witness)
@@ -296,11 +297,28 @@ def main(argv=None) -> int:
 
 
 def _emit(report: dict, output: str | None) -> None:
+    listing = report["result"]["opens"] if report.get("verb") == "topology" else None
+    if listing is not None:  # (sorted masks, labels): dump a placeholder, then splice
+        report = {**report, "result": {**report["result"], "opens": []}}
     text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    if listing is not None:  # "opens" is the last key of "result", and "verb" follows
+        tail = '\n  },\n  "verb": "topology"\n}\n'
+        text = text[: -len(tail) - 2] + _opens_text(*listing) + tail
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _opens_text(masks: list[int], elements: tuple[str, ...]) -> str:
+    """The sorted opens as ``json.dumps(indent=2)`` writes them in the report,
+    through per-8-position chunk tables of the labels' encodings."""
+    low, high = [""], [""]
+    for k, x in enumerate(elements):  # the subsets holding position k append its text
+        table, piece = low if k < 8 else high, ",\n        " + json.dumps(x, ensure_ascii=False)
+        table += [text + piece for text in table]
+    opens = ("[" + (low[m & 255] + high[m >> 8])[1:] + "\n      ]" if m else "[]" for m in masks)
+    return "[\n      " + ",\n      ".join(opens) + "\n    ]"
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ Generation, validation and the map checks are products and witness scans
 of the ``relations`` row kernels.  The interval topology is generated by
 its 2n rays: a bounded interval (a, b) is the right ray of a met with the
 left ray of b.  Only listing the open sets enumerates them, capped at 16
-elements.  Empty intervals stay in listings (flagged) because gap
-detection is defined by their emptiness.
+elements; a listing orders them by size, then by label tuple in carrier
+order, through one int sort key per open.  Empty intervals stay in
+listings (flagged) because gap detection is defined by their emptiness.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ class FiniteTopology:
         return _union_of(mask, self.neighbourhoods) == mask
 
     @cached_property
+    def _tr(self) -> tuple[int, ...]:  # column i: the points whose neighbourhood holds i
+        return transpose_rows(self.neighbourhoods, self.carrier.n)
+
+    @cached_property
     def opens(self) -> frozenset[int]:
         """Every open set as a bitmask, enumerated on first use as the
         unions of the distinct neighbourhoods."""
@@ -105,8 +110,24 @@ class FiniteTopology:
         return frozenset(found)
 
     def sorted_opens(self) -> list[tuple[str, ...]]:
-        """Opens ordered by size then lexicographically by label list."""
-        return sorted((self.labels_of(m) for m in self.opens), key=lambda s: (len(s), s))
+        """Opens as label tuples in carrier order, by size then lexicographically."""
+        return [self.labels_of(m) for m in _sorted_open_masks(self)]
+
+
+def _sorted_open_masks(topology: FiniteTopology) -> list[int]:
+    """The opens as masks, by size and then label tuple.  Each sort key is
+    one int: the popcount, the members' label ranks in carrier order as
+    fixed-width digits (opens of one size have as many), then the mask.
+    Per-8-position chunk tables make a key a few lookups."""
+    opens, elems, n = topology.opens, topology.carrier.elements, topology.carrier.n
+    rank = {x: r for r, x in enumerate(sorted(elems))}
+    width, low, high = max(n - 1, 1).bit_length(), [0], [0]
+    for k, x in enumerate(elems):  # the subsets holding position k append its digit
+        table = low if k < 8 else high
+        table += [digits << width | rank[x] for digits in table]
+    shift, top, full = [width * h.bit_count() for h in range(len(high))], width * n + n, (1 << n) - 1
+    keys = sorted(m.bit_count() << top | (low[m & 255] << shift[m >> 8] | high[m >> 8]) << n | m for m in opens)
+    return [key & full for key in keys]
 
 
 def _require_listable(n: int) -> None:
@@ -130,9 +151,7 @@ def _minimal_opens(topology: FiniteTopology) -> set[int]:
     same neighbourhood.  Since j in U_i puts U_j within U_i, that is U_i
     within column i: each j in U_i has i in U_j.  They are pairwise
     disjoint."""
-    hoods = topology.neighbourhoods
-    cols = transpose_rows(hoods, topology.carrier.n)
-    return {hood for hood, col in zip(hoods, cols) if not hood & ~col}
+    return {hood for hood, col in zip(topology.neighbourhoods, topology._tr) if not hood & ~col}
 
 
 @dataclass(frozen=True)
@@ -270,7 +289,7 @@ def connectivity_report(topology: FiniteTopology) -> ConnectivityReport:
     least clopen witness (size, then labels) is the least component.
     """
     hoods, n = topology.neighbourhoods, topology.carrier.n
-    links = [hood | col for hood, col in zip(hoods, transpose_rows(hoods, n))]
+    links = [hood | col for hood, col in zip(hoods, topology._tr)]
     components, left = [], (1 << n) - 1
     while left:
         component, grown = left & -left, 0
@@ -285,11 +304,11 @@ def connectivity_report(topology: FiniteTopology) -> ConnectivityReport:
 def gaps(relation: Relation) -> list[tuple[str, str]]:
     """Strictly related pairs whose open interval is empty, in carrier
     order."""
-    rows, cols = _strict_rows_cols(relation)
-    elems = relation.carrier.elements
-    return [
-        (elems[i], elems[j]) for i, row in enumerate(rows) for j in _bits(row) if not row & cols[j]
-    ]
+    return _gaps(relation.carrier.elements, *_strict_rows_cols(relation))
+
+
+def _gaps(elems: Sequence[str], rows: Sequence[int], cols: Sequence[int]) -> list[tuple[str, str]]:
+    return [(elems[i], elems[j]) for i, row in enumerate(rows) for j in _bits(row) if not row & cols[j]]
 
 
 def order_completeness_report(order: Loset) -> CompletenessReport:

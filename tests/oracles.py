@@ -3,11 +3,12 @@
 Everything here quantifies explicitly over element labels with plain
 loops, deliberately avoiding the package's bitmask kernels, so the two
 routes can disagree when one of them is wrong.  The exceptions are the
-seven sections at the end, each an earlier implementation kept as the
+eight sections at the end, each an earlier implementation kept as the
 reference for its replacement: the enumerated topology queries for the
 neighbourhood model, the label-set projection check for its mask version,
 the loop topology generation and validation for their row-kernel versions,
-the bit-probe scans for the witness kernels, the label-level loops of the
+the label-tuple sort and indented dump of the open listing for the int
+sort keys and the listing written straight to text, the bit-probe scans for the witness kernels, the label-level loops of the
 bubble pipeline for its row-mask versions, the quotient-route
 decomposition for the bubbling check over strict-row levels, with the
 utility checked on its values for the check on ranks, and the
@@ -16,6 +17,7 @@ per-relation sweep batteries for the truth-table battery.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from itertools import product
@@ -764,6 +766,22 @@ def loop_generate(n: int, subbase) -> tuple[int, ...]:
         if any(hoods[i] & ~mask for i in _set_bits(mask)):
             raise ValidationError("subbase extent escaped its own topology")
     return tuple(hoods)
+
+
+# ---------------------------------------------------------------------------
+# label-tuple open listing
+
+# The earlier listing of the ``topology`` verb, kept as the reference for
+# the int sort keys of ``topology._sorted_open_masks`` and the listing that
+# ``cli._emit`` writes from masks: the opens' label tuples sorted by size
+# and then by labels, and the whole report dumped by the indented encoder.
+
+def label_sorted_opens(topology: FiniteTopology) -> list[tuple[str, ...]]:
+    return sorted((topology.labels_of(m) for m in topology.opens), key=lambda s: (len(s), s))
+
+
+def indented_report_text(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

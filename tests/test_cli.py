@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import random
 import subprocess
@@ -7,8 +10,10 @@ import sys
 import pytest
 
 import oracles
-from ordbubble import cli
+from ordbubble import Carrier, Relation, cli, connectivity_report, enumerate_preorders, gaps, interval_topology
 from ordbubble.cli import main, parse_input
+from ordbubble.relations import relation_from_json_dict
+from ordbubble.structure import Loset
 
 
 TWO_BUBBLE = {
@@ -220,22 +225,60 @@ def test_sweep_deterministic_across_runs():
     assert outputs[0] == outputs[1]
 
 
+# labels that JSON escapes, that sort apart from carrier order, or that
+# spell pieces of the report around the opens listing
+HARD_LABELS = (
+    "", '"', "\\", "\u00e9", " ", "x10", "x9", 'opens": []',
+    "\n", '"]\n  },\n  "verb": "', "\u2028", "\u65e5\u672c",
+)
+
+
+def relabelled(relation, labels):
+    """The relation's JSON payload with its carrier's labels replaced, in
+    carrier order."""
+    rename = dict(zip(relation.carrier.elements, labels))
+    return {"elements": list(labels), "pairs": [[rename[x], rename[y]] for x, y in relation.pairs()]}
+
+
+def hard_relation(n):
+    """A seeded bubble relation on n <= 12 of the hard labels, shuffled."""
+    rnd = random.Random(n)
+    relation = oracles.label_bubble_compose(oracles.shuffled_bubble_system(rnd, n))
+    labels = list(HARD_LABELS[:n])
+    rnd.shuffle(labels)
+    return relabelled(relation, labels)
+
+
+def chain(n):
+    return Loset.chain(tuple(f"x{i}" for i in range(n))).relation().to_json_dict()
+
+
 # sha256 of the exit code and report bytes on seeded bubble relations past
 # the n <= 14 of the benchmark's golden digests; at n = 64 the topology verb
-# refuses to list the opens
+# refuses to list the opens.  The 16-chain (65,536 opens, at the listing
+# cap) and the hard-labelled relation were pinned before the listing was
+# sorted by int keys and written from masks.
 REPORT_DIGESTS = {
     ("utility", 14): "d2878b5d2e57cf0d0d225ac8957bc1f5a6b29841a5a12a22248e80ff7ef8f183",
     ("topology", 14): "4fa21d396e5f1e8f2a604fb8713a5aecf57b6d2cbe46b5104ef989d0ce4d1a13",
     ("utility", 64): "9d4f3bf1d6827988357db8af7844f84eff392ff13885b5fc560148df9588db50",
     ("topology", 64): "639952cc425bba7ec438a3d6ec193d8fe38b09988f2191107f77460e450b7197",
+    ("topology", "chain-16"): "4a09242f906d06a09b1104d5c25cbc4d3e22ccd6572d11604a7b108a71840bf5",
+    ("topology", "hard-12"): "b50c8c05ab55cd3d8e769a11fecf8fd9fb9fc651a4421effe8a7ab7ee0b3699e",
 }
 
 
-@pytest.mark.parametrize("verb,n", sorted(REPORT_DIGESTS))
+@pytest.mark.parametrize("verb,n", sorted(REPORT_DIGESTS, key=str))
 def test_topology_reports_do_not_drift(verb, n, tmp_path):
-    relation = oracles.label_bubble_compose(oracles.shuffled_bubble_system(random.Random(n), n))
+    if n == "chain-16":
+        payload = chain(16)
+    elif n == "hard-12":
+        payload = hard_relation(12)
+    else:
+        relation = oracles.label_bubble_compose(oracles.shuffled_bubble_system(random.Random(n), n))
+        payload = relation.to_json_dict()
     path = tmp_path / "relation.json"
-    path.write_text(json.dumps(relation.to_json_dict()))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     out = tmp_path / "report.json"
     code = main([verb, "--in", str(path), "--out", str(out)])
     digest = hashlib.sha256(f"{code}\n".encode() + out.read_bytes()).hexdigest()
@@ -284,9 +327,87 @@ def test_topology_refuses_past_the_listing_cap_before_generating(case, tmp_path,
         pairs = [[x, x] for x in labels] + [["x0", "x1"], ["x1", "x2"]]
     path = tmp_path / "relation.json"
     path.write_text(json.dumps({"elements": labels, "pairs": pairs}))
-    monkeypatch.setattr(cli, "interval_topology", lambda relation: pytest.fail("generated past the cap"))
+    for name in ("interval_topology", "_generate"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("generated past the cap"))
     out = tmp_path / "report.json"
     code = main(["topology", "--in", str(path), "--out", str(out)])
     assert code == 1
     digest = hashlib.sha256(f"{code}\n".encode() + out.read_bytes()).hexdigest()
     assert digest == TOPOLOGY_REFUSAL_DIGESTS[case]
+
+
+# ---------------------------------------------------------------------------
+# the topology listing against the label-tuple sort and indented dump
+
+def oracle_report(relation, digest, options) -> bytes:
+    """The topology verb's report as it was written from label tuples."""
+    topology = interval_topology(relation)
+    connectivity = connectivity_report(topology)
+    result = {
+        "opens": [list(labels) for labels in oracles.label_sorted_opens(topology)],
+        "connected": connectivity.connected,
+        "gaps": [list(pair) for pair in gaps(relation)],
+    }
+    if connectivity.clopen_witness is not None:
+        result["clopen_witness"] = list(connectivity.clopen_witness)
+    report = {"verb": "topology", "input_digest": digest, "options": options, "result": result, "invariants": []}
+    return oracles.indented_report_text(report).encode("utf-8")
+
+
+def emitted(report, out) -> tuple[bytes, bytes]:
+    """``_emit``'s bytes on stdout and through a file."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli._emit(report, None)
+    cli._emit(report, str(out))
+    return stdout.getvalue().encode("utf-8"), out.read_bytes()
+
+
+def test_topology_listing_matches_the_oracle_on_small_preorders(tmp_path):
+    """Every preorder with n <= 4 under every order of its carrier's labels,
+    through the verb's handler and ``_emit``.  Each size has its own set of
+    hard labels; together they hold ten of them."""
+    options = {"format": "auto", "n": 3, "seed": 0, "faults": []}
+    label_sets = {
+        4: ("", "x10", "x9", 'opens": []'),
+        3: ('"', "\\", "\u00e9"),
+        2: ("\n", '"]\n  },\n  "verb": "'),
+        1: (" ",),
+    }
+    out = tmp_path / "report.json"
+    for n, label_set in label_sets.items():
+        for preorder in enumerate_preorders(n):
+            for labels in itertools.permutations(label_set):
+                relation = Relation(Carrier(labels), preorder.rows)
+                payload, _ = cli._run_topology(relation)
+                report = {"verb": "topology", "input_digest": "d", "options": options, "result": payload, "invariants": []}
+                expected = oracle_report(relation, "d", options)
+                assert emitted(report, out) == (expected, expected), (labels, preorder.rows)
+
+
+def test_topology_verb_matches_the_oracle_on_seeded_relations(tmp_path):
+    """200 seeded chains and bubble relations up to n = 16 with shuffled hard
+    labels, through ``main`` on stdout and with ``--out``.  Chains stop at
+    n = 12; the 16-chain is a pinned digest above."""
+    rnd = random.Random(22)
+    path, out = tmp_path / "relation.json", tmp_path / "report.json"
+    options = {"format": "auto", "n": 3, "seed": cli.DEFAULT_SEED, "faults": []}
+    for k in range(200):
+        if k % 2:
+            n = rnd.randint(1, 16)
+            relation = oracles.label_bubble_compose(oracles.shuffled_bubble_system(rnd, n))
+        else:
+            n = rnd.randint(1, 12)
+            ranks = list(range(n))
+            rnd.shuffle(ranks)
+            relation = Loset(Carrier(tuple(f"x{i}" for i in range(n))), tuple(ranks)).relation()
+        labels = [*HARD_LABELS, *(f"x{i}" for i in range(12, 16))][:n]
+        rnd.shuffle(labels)
+        payload = relabelled(relation, labels)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        expected = oracle_report(relation_from_json_dict(payload), cli._digest(str(path), options), options)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["topology", "--in", str(path)]) == 0
+        assert main(["topology", "--in", str(path), "--out", str(out)]) == 0
+        assert stdout.getvalue().encode("utf-8") == out.read_bytes() == expected, (k, labels)

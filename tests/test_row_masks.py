@@ -248,11 +248,9 @@ def test_pipeline_runs_no_equivalence_validations(monkeypatch):
     assert calls == []
 
 
-def test_pipeline_kernel_call_budget(monkeypatch):
-    """Carrier-size transposes and composition kernels per call on one seeded
-    n = 64 system.  Each relation transposes once, and derived parts inherit
-    their transposes.  A change may lower these pins but not raise them."""
-    n = 64
+def kernel_spender(monkeypatch, n):
+    """A ``spend(call)`` returning the call's result and its counts of
+    carrier-size (n) transposes and composition kernels."""
     counts = {"transpose": 0, "compose": 0}
     transpose, compose = relations.transpose_rows, relations._compose_witness
 
@@ -271,6 +269,15 @@ def test_pipeline_kernel_call_budget(monkeypatch):
         out = call()
         return out, (counts["transpose"], counts["compose"])
 
+    return spend
+
+
+def test_pipeline_kernel_call_budget(monkeypatch):
+    """Carrier-size transposes and composition kernels per call on one seeded
+    n = 64 system.  Each relation transposes once, and derived parts inherit
+    their transposes.  A change may lower these pins but not raise them."""
+    n = 64
+    spend = kernel_spender(monkeypatch, n)
     base = oracles.label_bubble_compose(shuffled_bubble_system(random.Random(64), n))
     relation = Relation(base.carrier, base.rows)
     system, spent = spend(lambda: bubble_decompose(relation))
@@ -282,11 +289,11 @@ def test_pipeline_kernel_call_budget(monkeypatch):
 
     # a topology: the relation's transpose and the subbase's membership
     # transpose; the preorder check, the neighbourhoods' transitivity and
-    # the subbase-open accept.  The projection check adds the transposes of
-    # the neighbourhoods for connectivity and for the minimal opens; the
-    # index side is smaller than n.  The utility verb's grid chain is too.
+    # the subbase-open accept.  The projection check adds the neighbourhoods'
+    # transpose, cached for connectivity and the minimal opens; the index
+    # side is smaller than n.  The utility verb's grid chain is too.
     assert spend(lambda: interval_topology(Relation(base.carrier, base.rows)))[1] == (2, 3)
-    assert spend(lambda: projection_check(system))[1] == (4, 3)
+    assert spend(lambda: projection_check(system))[1] == (3, 3)  # was (4, 3)
     assert spend(lambda: cli._run_utility(Relation(base.carrier, base.rows)))[1] == (2, 3)
 
     # a step transposes its input and its output, and an extension each
@@ -298,6 +305,19 @@ def test_pipeline_kernel_call_budget(monkeypatch):
     monkeypatch.setattr(order_ext, "szpilrajn_step", lambda *args: steps.append(args) or szpilrajn_step(*args))
     spent = spend(lambda: szpilrajn_extend(Relation(poset.carrier, poset.rows)))[1]
     assert len(steps) > 1 and spent == (len(steps) + 1, 2 * len(steps) + 2)  # was (3 steps + 2, 2 steps + 2)
+
+
+def test_topology_verb_kernel_call_budget(monkeypatch):
+    """The topology verb on a 16-chain verifies the preorder once, for both
+    the topology and the gaps: the relation's, the subbase's and the
+    neighbourhoods' transposes; the preorder check, the neighbourhoods'
+    transitivity and the subbase-open accept."""
+    n = 16
+    spend = kernel_spender(monkeypatch, n)
+    chain = Loset.chain(tuple(f"x{i}" for i in range(n))).relation()
+    payload, spent = spend(lambda: cli._run_topology(Relation(chain.carrier, chain.rows))[0])
+    assert len(payload["opens"][0]) == 1 << n
+    assert spent == (3, 3)  # was (3, 4): the gaps checked the preorder again
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -143,6 +143,24 @@ def test_neighbourhoods_are_validated():
     assert FiniteTopology(ABC, (0b011, 0b010, 0b111)).sorted_opens() == [
         (), ("b",), ("a", "b"), ("a", "b", "c")
     ]
+
+
+def test_sorted_opens_match_the_label_tuple_sort():
+    """The int sort keys order the opens as the label tuples did: every
+    topology with n <= 4 under every order of labels that sort apart from
+    carrier order, and seeded ones up to n = 16 with shuffled labels."""
+    for n in range(1, 5):
+        for hoods in enumerate_preorders(n):
+            for labels in permutations(("", "x10", "x9", "\u00e9"), n):
+                t = FiniteTopology(Carrier(labels), hoods.rows)
+                assert t.sorted_opens() == oracles.label_sorted_opens(t), (labels, hoods.rows)
+    rnd = random.Random(22)
+    for _ in range(30):
+        n = rnd.randint(5, 16)
+        labels = [f"x{i}" for i in range(n)]
+        rnd.shuffle(labels)
+        t = FiniteTopology(Carrier(tuple(labels)), random_preorder(rnd, n).rows)
+        assert t.sorted_opens() == oracles.label_sorted_opens(t), (labels, t.neighbourhoods)
 
 
 def test_generation_matches_naive_fixpoint_oracle():
